@@ -6,9 +6,7 @@ point with ~0.94 % RMS error, correctly flagging mgrid/gcc/galgel/apsi as
 dI/dt-problematic (>= 3 %) and vpr/mcf/equake/gap as quiet (<= 0.5 %).
 """
 
-
-from conftest import PROBLEMATIC, QUIET
-from repro.experiments import figure9
+from repro.experiments import PROBLEMATIC, QUIET, figure9
 
 THRESHOLD = 0.97
 

@@ -10,8 +10,7 @@ spike mass and a chi-squared Gaussianity test on the voltage itself.
 
 import numpy as np
 
-from conftest import HIGH_L2_MISS, LOW_L2_MISS
-from repro.experiments import figures10_11
+from repro.experiments import HIGH_L2_MISS, LOW_L2_MISS, figures10_11
 from repro.stats import chi_square_gaussian_test
 
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import fftconvolve, lfilter
 
+from ..obs import trace as obs
 from ..power import ConvolutionVoltageSimulator, PowerSupplyNetwork
-from ..wavelets import WaveletDecomposition
+from ..wavelets import get_wavelet
 
 __all__ = ["ScaleFactorModel", "calibrate_scale_factors"]
 
@@ -28,29 +30,26 @@ __all__ = ["ScaleFactorModel", "calibrate_scale_factors"]
 _RHO_GRID = np.array([-0.98, -0.9, -0.7, -0.4, 0.0, 0.4, 0.7, 0.9, 0.98])
 
 
-def _ar1_sequence(n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance AR(1) sequence with lag-1 correlation ``rho``."""
-    noise_scale = np.sqrt(max(1.0 - rho * rho, 1e-12))
-    out = np.empty(n)
-    out[0] = rng.normal()
-    for k in range(1, n):
-        out[k] = rho * out[k - 1] + noise_scale * rng.normal()
-    return out
-
-
-def _scale_pure_signal(
-    length: int, level: int, rho: float, rng: np.random.Generator
+def _scale_pure_signals(
+    length: int, level: int, rho: float, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A signal whose energy lives entirely in one Haar detail scale.
+    """``trials`` signals whose energy lives entirely in one Haar scale.
 
-    Constructed by planting an AR(1) coefficient sequence at the chosen
-    level of an otherwise-zero decomposition and inverting.
+    Each row is a unit-variance AR(1) sequence (lag-1 correlation ``rho``)
+    planted at ``level`` of an otherwise-zero decomposition and inverted in
+    closed form: ``d*hi``, scaled by ``lo`` once per finer level, repeated
+    over its support — the inverse transform's own products, in its order.
     """
-    levels = int(np.log2(length))
-    approx = np.zeros(1)
-    details = [np.zeros(length >> lvl) for lvl in range(1, levels + 1)]
-    details[level - 1] = _ar1_sequence(length >> level, rho, rng)
-    return WaveletDecomposition(approx, details, "haar").reconstruct()
+    z = rng.normal(size=(trials, length >> level))
+    noise_scale = np.sqrt(max(1.0 - rho * rho, 1e-12))
+    z[:, 1:] = lfilter(
+        [noise_scale], [1.0, -rho], z[:, 1:], axis=1, zi=rho * z[:, :1]
+    )[0]
+    haar = get_wavelet("haar")
+    x = (z[:, :, None] * haar.dec_hi).reshape(trials, -1)
+    for _ in range(level - 1):
+        x = x * haar.dec_lo[0]
+    return np.repeat(x, 1 << (level - 1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -111,21 +110,14 @@ def calibrate_scale_factors(
     """Run the calibration experiments for one supply network.
 
     For every (level, rho) cell: synthesize ``trials`` scale-pure current
-    signals, push them through the supply model, and record the ratio of
-    settled voltage variance to the signal's wavelet-scale variance.
-    Linearity of the network makes the ratio amplitude-independent.
+    signals as one stack, push the stack through the supply model in one
+    FFT convolution, and record the mean ratio of settled voltage variance
+    to each signal's wavelet-scale variance.  Linearity of the network
+    makes the ratio amplitude-independent.
     """
-    key = (
-        round(network.resonant_hz),
-        round(network.quality_factor, 6),
-        network.peak_impedance,
-        network.impedance_scale,
-        network.clock_hz,
-        levels,
-        signal_length,
-        trials,
-        seed,
-    )
+    # The network itself is the key: its hash and equality cover every
+    # field exactly, so no two distinct networks share a factor table.
+    key = (network, levels, signal_length, trials, seed)
     if key in _CACHE:
         return _CACHE[key]
 
@@ -134,23 +126,24 @@ def calibrate_scale_factors(
     if levels < 1 or (1 << levels) > signal_length:
         raise ValueError("too many levels for the signal length")
 
-    rng = np.random.default_rng(seed)
-    sim = ConvolutionVoltageSimulator(network)
-    settle = min(sim.taps, signal_length // 4)
     table: dict[int, tuple[float, ...]] = {}
-    for level in range(1, levels + 1):
-        row = []
-        for rho in _RHO_GRID:
-            ratios = []
-            for _ in range(trials):
-                current = _scale_pure_signal(signal_length, level, rho, rng)
-                droop = sim.droop(current)[settle:]
-                var_i = float(np.sum(current**2)) / signal_length
-                if var_i <= 0:
-                    continue
-                ratios.append(float(droop.var()) / var_i)
-            row.append(float(np.mean(ratios)))
-        table[level] = tuple(row)
+    with obs.span("core.calibrate", levels=levels, cells=levels * len(_RHO_GRID)):
+        rng = np.random.default_rng(seed)
+        sim = ConvolutionVoltageSimulator(network)
+        settle = min(sim.taps, signal_length // 4)
+        for level in range(1, levels + 1):
+            row = []
+            for rho in _RHO_GRID:
+                currents = _scale_pure_signals(signal_length, level, rho, trials, rng)
+                droops = fftconvolve(currents, sim.kernel[None, :], axes=1)
+                ratios = []
+                for current, droop in zip(currents, droops):
+                    var_i = float(np.sum(current**2)) / signal_length
+                    if var_i > 0:
+                        ratios.append(float(droop[settle:signal_length].var()) / var_i)
+                row.append(float(np.mean(ratios)))
+            table[level] = tuple(row)
+    obs.counter_inc("calibrations_total", 1, "cold scale-factor calibrations")
     model = ScaleFactorModel(
         network=network,
         levels=tuple(range(1, levels + 1)),

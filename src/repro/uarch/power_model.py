@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from operator import attrgetter
 
 __all__ = ["ActivityCounters", "UnitPower", "WattchPowerModel", "ClockGating"]
 
@@ -50,8 +52,15 @@ class ActivityCounters:
 
     def reset(self) -> None:
         """Zero all counters (start of cycle)."""
-        for name in self.__slots__:
-            setattr(self, name, 0)
+        self.fetches = self.icache_accesses = self.bpred_lookups = 0
+        self.decoded = self.dispatched = 0
+        self.issued_ialu = self.issued_imult = 0
+        self.issued_fpalu = self.issued_fpmult = 0
+        self.lsq_issues = self.dcache_accesses = 0
+        self.l2_accesses = self.memory_accesses = 0
+        self.wakeups = self.completions = 0
+        self.regfile_reads = self.regfile_writes = 0
+        self.committed = self.injected_noops = 0
 
 
 class ClockGating(Enum):
@@ -95,6 +104,25 @@ class WattchPowerModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.idle_fraction <= 1.0:
             raise ValueError("idle_fraction must be in [0, 1]")
+        # The per-cycle plan, built once: a (per-access, idle) draw for every
+        # unit, then for injected no-ops (4 A each: ALU + window + bus power
+        # without doing work), and the getter of the matching counts.  Under
+        # NONE every unit is charged its structural maximum every cycle.
+        idle_draw = {
+            ClockGating.NONE: lambda u: u.per_access * u.max_per_cycle,
+            ClockGating.CC3: lambda u: u.idle,
+            ClockGating.IDEAL: lambda u: 0.0,
+        }[self.gating]
+        self._plan = tuple((u.per_access, idle_draw(u)) for u in self.units)
+        self._plan += ((4.0, 0.0),)
+        if self.gating is ClockGating.NONE:
+            full = tuple(u.max_per_cycle for u in self.units)
+            self._counts = partial(_full_counts, full)
+        else:
+            self._counts = attrgetter(
+                *(u.counter for u in self.units), "injected_noops"
+            )
+        self._names = tuple(u.name for u in self.units) + ("noops",)
 
     def unit_currents(self, activity: ActivityCounters) -> dict[str, float]:
         """Per-structure current draw for one cycle's activity.
@@ -104,32 +132,16 @@ class WattchPowerModel:
         Wattch-style power-breakdown view.
         """
         out = {"clock": self.clock_tree, "static": self.static}
-        for unit in self.units:
-            count = getattr(activity, unit.counter)
-            if self.gating is ClockGating.NONE:
-                out[unit.name] = unit.per_access * unit.max_per_cycle
-            elif count > 0:
-                out[unit.name] = unit.per_access * count
-            elif self.gating is ClockGating.CC3:
-                out[unit.name] = unit.idle
-            else:
-                out[unit.name] = 0.0
-        out["noops"] = 4.0 * activity.injected_noops
+        counts = self._counts(activity)
+        for name, (per_access, idle), count in zip(self._names, self._plan, counts):
+            out[name] = per_access * count if count > 0 else idle
         return out
 
     def current(self, activity: ActivityCounters) -> float:
         """Per-cycle current (amperes) for the observed activity."""
         total = self.clock_tree + self.static
-        for unit in self.units:
-            count = getattr(activity, unit.counter)
-            if self.gating is ClockGating.NONE:
-                total += unit.per_access * unit.max_per_cycle
-            elif count > 0:
-                total += unit.per_access * count
-            elif self.gating is ClockGating.CC3:
-                total += unit.idle
-        # Injected no-ops burn ALU + window + bus power without doing work.
-        total += 4.0 * activity.injected_noops
+        for (per_access, idle), count in zip(self._plan, self._counts(activity)):
+            total += per_access * count if count > 0 else idle
         return total
 
     @property
@@ -148,6 +160,11 @@ class WattchPowerModel:
         peak = self.clock_tree + self.static
         peak += sum(u.per_access * u.max_per_cycle for u in self.units)
         return peak
+
+
+def _full_counts(full: tuple[int, ...], activity: ActivityCounters) -> tuple:
+    """Unit counts under ``NONE`` gating: every unit at its maximum."""
+    return (*full, activity.injected_noops)
 
 
 _DEFAULT_UNITS: tuple[UnitPower, ...] = (

@@ -1,5 +1,7 @@
 """Unit tests for §4's calibration and offline characterization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,20 @@ class TestScaleFactors:
         lvl = f150.peak_level()
         # Voltage variance goes as impedance squared (linear system).
         assert f300.factor(lvl) == pytest.approx(4.0 * f150.factor(lvl), rel=0.1)
+
+    def test_memo_keys_on_exact_network(self, net):
+        # Networks that differ below any rounding must not share a table.
+        nudged = [
+            replace(net, resonant_hz=net.resonant_hz + 0.4),
+            replace(net, quality_factor=net.quality_factor + 1e-8),
+        ]
+        small = dict(levels=3, signal_length=1024, trials=1)
+        base = calibrate_scale_factors(net, **small)
+        for other in nudged:
+            model = calibrate_scale_factors(other, **small)
+            assert model is not base
+            assert model.network == other
+            assert model.table != base.table
 
     def test_validation(self, net):
         with pytest.raises(ValueError):

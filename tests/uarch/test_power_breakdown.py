@@ -1,5 +1,8 @@
 """Unit tests for the opt-in per-unit power breakdown."""
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,22 @@ class TestUnitCurrents:
             assert sum(pm.unit_currents(a).values()) == pytest.approx(
                 pm.current(a)
             ), gating
+
+    @pytest.mark.parametrize(
+        "gating", [ClockGating.NONE, ClockGating.CC3, ClockGating.IDEAL]
+    )
+    def test_sums_to_total_exactly(self, gating):
+        # Same terms, same order: the breakdown adds up to the very same
+        # float as current(), over seeded random activity with idle units.
+        # A left fold, not sum(): from Python 3.12 on, sum() compensates
+        # float rounding and so no longer adds strictly in order.
+        pm = WattchPowerModel(gating=gating)
+        rng = np.random.default_rng(2004)
+        for _ in range(500):
+            a = ActivityCounters()
+            for name in ActivityCounters.__slots__:
+                setattr(a, name, int(rng.integers(0, 9)) * int(rng.random() < 0.6))
+            assert pm.current(a) == reduce(add, pm.unit_currents(a).values())
 
     def test_active_unit_attributed(self):
         pm = WattchPowerModel()
