@@ -501,10 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending", type=int, default=32,
                        help="bounded admission: max unique jobs queued "
                             "or in flight before 503 (default 32)")
-    serve.add_argument("--batch-window", type=float, default=0.02,
-                       metavar="SECONDS",
-                       help="coalescing window before a batch "
-                            "dispatches (default 0.02)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="max unique jobs per pool batch (default 8)")
     serve.add_argument("--retries", type=int, default=0,
@@ -993,21 +989,27 @@ def _cmd_phases(args) -> str:
     )
 
 
-def _cmd_breakdown(args) -> str:
+def _measure_breakdown(
+    benchmark: str, cycles: int
+) -> tuple[dict[str, float], float]:
+    """Per-unit mean current and total mean current over ``cycles``
+    cycles that follow 2048 unmeasured warm-up cycles."""
     from .uarch import Pipeline, TABLE_1
     from .workloads import generate
     from .workloads.generator import prewarm_caches
 
-    pipe = Pipeline(
-        TABLE_1, iter(generate(args.benchmark)), track_breakdown=True
-    )
-    prewarm_caches(pipe.caches, args.benchmark)
+    pipe = Pipeline(TABLE_1, iter(generate(benchmark)), track_breakdown=True)
+    prewarm_caches(pipe.caches, benchmark)
     for _ in range(2048):
         pipe.tick()
-    total = float(np.mean([pipe.tick() for _ in range(args.cycles)]))
-    breakdown = dict(
-        sorted(pipe.power_breakdown.items(), key=lambda kv: -kv[1])
-    )
+    pipe.reset_breakdown()
+    total = float(np.mean([pipe.tick() for _ in range(cycles)]))
+    return pipe.power_breakdown, total
+
+
+def _cmd_breakdown(args) -> str:
+    breakdown, total = _measure_breakdown(args.benchmark, args.cycles)
+    breakdown = dict(sorted(breakdown.items(), key=lambda kv: -kv[1]))
     chart = viz.bar_chart(
         {name: amps for name, amps in breakdown.items() if amps > 0.01},
         title=f"{args.benchmark}: mean per-unit current (A), "
@@ -1296,7 +1298,6 @@ def _cmd_serve(args) -> int:
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
         max_pending=args.max_pending,
-        batch_window_s=args.batch_window,
         max_batch=args.max_batch,
         retries=args.retries,
         timeout_s=args.timeout,

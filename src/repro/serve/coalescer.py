@@ -8,12 +8,12 @@ digest is the coalescing key:
   batch) or **in flight** (dispatched to the pool) subscribes to the
   existing entry — N concurrent identical requests cost exactly one
   pipeline job and produce N result streams;
-* distinct digests accumulate for up to ``batch_window_s`` (or until
-  ``max_batch`` of them are waiting) and dispatch as **one**
-  ``submit`` call, so a burst of arrivals pays one pool round-trip,
-  one ``pipeline.batch`` span, one cache scan per stage — the serving
-  layer inherits the batch pipeline's economics instead of defeating
-  them one request at a time.
+* dispatch is work-conserving: pending jobs go to ``submit`` at once
+  while fewer than ``workers`` jobs are in flight.  While every worker
+  is busy, distinct digests accumulate and go out as **one** batch (up
+  to ``max_batch``) the moment a worker frees, so a burst of arrivals
+  pays one pool round-trip, one ``pipeline.batch`` span, one cache
+  scan per stage — and an idle server never makes a request wait.
 
 The bridge to the (synchronous, multiprocessing) executor is a
 dedicated thread per dispatch via ``asyncio.to_thread``; outcomes hop
@@ -29,6 +29,11 @@ server turns into an explicit 503 instead of an unbounded queue.
 :class:`~repro.serve.protocol.DrainingError`, pending work still
 dispatches, and the call returns once the last in-flight batch has
 delivered every event — the graceful-drain half of SIGTERM handling.
+
+Every stream ends with a ``done`` event whose ``phases`` split the
+request's own time on the monotonic clock: ``queue_s`` from admission
+to dispatch, ``compute_s`` from dispatch to the outcome (both also
+observed into ``serve_request_phase_seconds{phase}``).
 
 A ``try_cache`` hook short-circuits all of it: a request whose every
 stage artifact is already in the content-addressed cache is answered
@@ -57,6 +62,7 @@ class Subscription:
     def __init__(self, request_id: str) -> None:
         self.request_id = request_id
         self.queue: asyncio.Queue = asyncio.Queue()
+        self.t_admit = time.monotonic()
 
     def push(self, event: dict) -> None:
         payload = dict(event)
@@ -75,13 +81,13 @@ class Subscription:
 class _Entry:
     """One unique job (digest) and everybody waiting on it."""
 
-    __slots__ = ("spec", "digest", "subs", "t_submit")
+    __slots__ = ("spec", "digest", "subs", "t_dispatch")
 
-    def __init__(self, spec, digest: str, t_submit: float) -> None:
+    def __init__(self, spec, digest: str) -> None:
         self.spec = spec
         self.digest = digest
         self.subs: list[Subscription] = []
-        self.t_submit = t_submit
+        self.t_dispatch: float | None = None
 
     def push(self, event: dict) -> None:
         for sub in self.subs:
@@ -96,7 +102,8 @@ class BatchCoalescer:
     calls ``progress(outcome)`` as each job completes.  ``try_cache``,
     if given, maps a spec to a finished outcome when every stage is
     already cached (or returns ``None``).  Both run off-loop in worker
-    threads.
+    threads.  ``workers`` is the runner's capacity in jobs: no batch is
+    dispatched while that many jobs are in flight.
     """
 
     def __init__(
@@ -104,23 +111,23 @@ class BatchCoalescer:
         runner,
         *,
         try_cache=None,
-        batch_window_s: float = 0.02,
+        workers: int = 1,
         max_batch: int = 8,
         max_pending: int = 32,
     ) -> None:
         self.runner = runner
         self.try_cache = try_cache
-        self.batch_window_s = float(batch_window_s)
+        self.workers = max(1, int(workers))
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
         self._pending: dict[str, _Entry] = {}
         self._inflight: dict[str, _Entry] = {}
         self._work = asyncio.Event()
-        self._drain_evt = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
         self._draining = False
         self._task: asyncio.Task | None = None
+        self._batches: set[asyncio.Task] = set()  # the loop holds tasks weakly
         self.stats = {
             "submitted": 0,
             "coalesced": 0,
@@ -143,8 +150,6 @@ class BatchCoalescer:
     async def drain(self) -> None:
         """Refuse new work, flush pending + in-flight, stop the loop."""
         self._draining = True
-        self._drain_evt.set()  # interrupt a batch-window sleep
-        self._work.set()  # wake the loop so it can notice the drain
         await self._idle.wait()
         if self._task is not None:
             self._task.cancel()
@@ -226,7 +231,7 @@ class BatchCoalescer:
                 queue_depth=self.depth,
             )
 
-        entry = _Entry(spec, digest, time.monotonic())
+        entry = _Entry(spec, digest)
         entry.subs.append(sub)
         self._pending[digest] = entry
         self._idle.clear()
@@ -247,36 +252,30 @@ class BatchCoalescer:
         while True:
             await self._work.wait()
             self._work.clear()
-            if not self._pending:
-                if self._draining and not self._inflight:
-                    self._idle.set()
-                continue
-            # the coalescing window: let a burst of arrivals pile into
-            # one batch (cut short the moment a drain begins)
-            if not self._draining and len(self._pending) < self.max_batch:
-                try:
-                    await asyncio.wait_for(
-                        self._drain_evt.wait(), timeout=self.batch_window_s
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            batch = list(self._pending.values())[: self.max_batch]
-            for entry in batch:
-                del self._pending[entry.digest]
-                self._inflight[entry.digest] = entry
-                entry.push(
-                    {
-                        "type": "status",
-                        "state": "dispatched",
-                        "digest": entry.digest,
-                        "batch_size": len(batch),
-                    }
-                )
-            if self._pending:
-                self._work.set()  # more than one batch is waiting
-            asyncio.get_running_loop().create_task(
-                self._run_batch(batch), name="repro-serve-batch"
+            while self._pending and len(self._inflight) < self.workers:
+                self._dispatch(list(self._pending.values())[: self.max_batch])
+            if not self._pending and not self._inflight:
+                self._idle.set()
+
+    def _dispatch(self, batch: list[_Entry]) -> None:
+        now = time.monotonic()
+        for entry in batch:
+            del self._pending[entry.digest]
+            self._inflight[entry.digest] = entry
+            entry.t_dispatch = now
+            entry.push(
+                {
+                    "type": "status",
+                    "state": "dispatched",
+                    "digest": entry.digest,
+                    "batch_size": len(batch),
+                }
             )
+        task = asyncio.get_running_loop().create_task(
+            self._run_batch(batch), name="repro-serve-batch"
+        )
+        self._batches.add(task)
+        task.add_done_callback(self._batches.discard)
 
     async def _run_batch(self, batch: list[_Entry]) -> None:
         loop = asyncio.get_running_loop()
@@ -302,39 +301,27 @@ class BatchCoalescer:
             ):
                 return self.runner(specs, progress)
 
+        message = "job produced no outcome"
         try:
             await asyncio.to_thread(run)
-        except Exception as exc:  # the runner itself blew up: fail all
-            for entry in list(by_digest.values()):
-                entry.push(
+        except Exception as exc:  # the runner itself blew up
+            message = f"{type(exc).__name__}: {exc}"
+        # anything progress() never delivered fails loudly instead of
+        # hanging the stream (a runner that returns reports every job)
+        for entry in by_digest.values():
+            self._inflight.pop(entry.digest, None)
+            for sub in entry.subs:
+                sub.push(
                     {
                         "type": "error",
                         "ok": False,
                         "kind": "internal",
                         "stage": None,
-                        "message": f"{type(exc).__name__}: {exc}",
+                        "message": message,
                     }
                 )
-                entry.push({"type": "done", "ok": False})
-                self._inflight.pop(entry.digest, None)
-                by_digest.pop(entry.digest, None)
-        # anything progress() never delivered (defensive — run_batch
-        # reports every job) fails loudly instead of hanging the stream
-        for entry in list(by_digest.values()):
-            if entry.digest in self._inflight:
-                entry.push(
-                    {
-                        "type": "error",
-                        "ok": False,
-                        "kind": "internal",
-                        "stage": None,
-                        "message": "job produced no outcome",
-                    }
-                )
-                entry.push({"type": "done", "ok": False})
-                self._inflight.pop(entry.digest, None)
-        if self._draining and not self._pending and not self._inflight:
-            self._idle.set()
+                self._done(sub, False, entry.t_dispatch)
+        self._work.set()
 
     def _route(self, by_digest: dict, outcome) -> None:
         """Deliver one finished job to exactly its own subscribers."""
@@ -342,18 +329,42 @@ class BatchCoalescer:
         if entry is None:
             return  # late duplicate (e.g. a stale retry attempt)
         self._inflight.pop(entry.digest, None)
+        self._work.set()  # a worker is free
         if not outcome.ok:
             self.stats["job_errors"] += 1
         for sub in entry.subs:
-            self._finish(sub, outcome)
-        if self._draining and not self._pending and not self._inflight:
-            self._idle.set()
+            self._finish(sub, outcome, entry.t_dispatch)
 
-    def _finish(self, sub: Subscription, outcome) -> None:
+    def _finish(self, sub: Subscription, outcome, t_dispatch=None) -> None:
         from .protocol import error_event, result_event
 
         if outcome.ok:
             sub.push(result_event(sub.request_id, outcome))
         else:
             sub.push(error_event(sub.request_id, outcome))
-        sub.push({"type": "done", "ok": outcome.ok})
+        self._done(sub, outcome.ok, t_dispatch)
+
+    def _done(self, sub: Subscription, ok: bool, t_dispatch) -> None:
+        """End ``sub``'s stream with its own queue/compute phases.
+
+        A request that joined a job already running (or took the cache
+        fast path, ``t_dispatch`` None) queued for no time at all.
+        """
+        begin = max(sub.t_admit, t_dispatch or 0.0)
+        queue_s = begin - sub.t_admit
+        compute_s = time.monotonic() - begin
+        for phase, seconds in (("queue", queue_s), ("compute", compute_s)):
+            obs.histogram_observe(
+                "serve_request_phase_seconds",
+                seconds,
+                "per-request time from admission to dispatch (queue) "
+                "and from dispatch to the outcome (compute)",
+                phase=phase,
+            )
+        sub.push(
+            {
+                "type": "done",
+                "ok": ok,
+                "phases": {"queue_s": queue_s, "compute_s": compute_s},
+            }
+        )

@@ -29,7 +29,7 @@ per line)::
      "dispatched" | "draining", ...}
     {"type": "result", "ok": true, "benchmark": ..., ...}
     {"type": "error", "kind": "exception" | "timeout" | "crash", ...}
-    {"type": "done", "ok": ...}
+    {"type": "done", "ok": ..., "phases": {"queue_s": ..., "compute_s": ...}}
 
 Requests rejected *before* acceptance get a plain JSON error body with
 an HTTP status instead: 400 (malformed), 429 (quota, with

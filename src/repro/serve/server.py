@@ -80,7 +80,6 @@ class ServeConfig:
         quota_rate: float = 0.0,
         quota_burst: float = 8.0,
         max_pending: int = 32,
-        batch_window_s: float = 0.02,
         max_batch: int = 8,
         retries: int = 0,
         timeout_s: float | None = None,
@@ -95,7 +94,6 @@ class ServeConfig:
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
         self.max_pending = max_pending
-        self.batch_window_s = batch_window_s
         self.max_batch = max_batch
         self.retries = retries
         self.timeout_s = timeout_s
@@ -141,7 +139,7 @@ class ServeServer:
         self.coalescer = BatchCoalescer(
             runner,
             try_cache=self._make_try_cache(),
-            batch_window_s=self.config.batch_window_s,
+            workers=self.config.jobs if self.config.jobs >= 0 else os.cpu_count(),
             max_batch=self.config.max_batch,
             max_pending=self.config.max_pending,
         )

@@ -127,6 +127,7 @@ class Pipeline:
         # Optional per-unit energy accounting (off by default: hot path).
         self._track_breakdown = track_breakdown
         self._unit_energy: dict[str, float] = {}
+        self._breakdown_start = 0
 
         # The draw of a cycle in which nothing acts, and the number of such
         # cycles fast_forward has stepped over.
@@ -214,12 +215,20 @@ class Pipeline:
 
     @property
     def power_breakdown(self) -> dict[str, float]:
-        """Mean per-unit current (amps) so far; needs ``track_breakdown``."""
+        """Mean per-unit current (amps) since construction or the last
+        :meth:`reset_breakdown`; needs ``track_breakdown``."""
         if not self._track_breakdown:
             raise RuntimeError("construct the Pipeline with track_breakdown=True")
-        if self.cycle == 0:
+        cycles = self.cycle - self._breakdown_start
+        if cycles == 0:
             return {}
-        return {k: v / self.cycle for k, v in self._unit_energy.items()}
+        return {k: v / cycles for k, v in self._unit_energy.items()}
+
+    def reset_breakdown(self) -> None:
+        """Restart per-unit accounting from the current cycle (after a
+        warm-up, say), so :attr:`power_breakdown` covers only what follows."""
+        self._unit_energy = {}
+        self._breakdown_start = self.cycle
 
     @property
     def drained(self) -> bool:

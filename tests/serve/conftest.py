@@ -112,7 +112,6 @@ def serve_factory(tmp_path):
         counter[0] += 1
         kwargs.setdefault("port", 0)
         kwargs.setdefault("cache_dir", str(tmp_path / f"cache{counter[0]}"))
-        kwargs.setdefault("batch_window_s", 0.01)
         handle = ServerHandle().start(ServeConfig(**kwargs))
         handles.append(handle)
         return handle

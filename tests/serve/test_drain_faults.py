@@ -27,7 +27,7 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 class TestDrainInProcess:
     def test_drain_mid_batch_finishes_accepted_work(self, serve_factory):
-        handle = serve_factory(batch_window_s=0.01)
+        handle = serve_factory()
         gate = threading.Event()
         inner = handle.server.coalescer.runner
 
@@ -79,7 +79,6 @@ class TestDrainOverSigterm:
                 "--listen", "127.0.0.1:0",
                 "--port-file", str(port_file),
                 "--cache-dir", str(tmp_path / "cache"),
-                "--batch-window", "0.01",
             ],
             env={**os.environ, "PYTHONPATH": REPO_SRC},
             stdout=subprocess.PIPE,
@@ -148,7 +147,7 @@ class TestFaultSurfacing:
         # SIGKILL the worker on every simulate attempt for gzip; the
         # kill directive forces the supervised pool even at jobs=1
         monkeypatch.setenv(faults.ENV_VAR, "simulate@gzip:kill:*")
-        handle = serve_factory(batch_window_s=0.01)
+        handle = serve_factory()
         t0 = time.monotonic()
         response = handle.submit(quick_payload(seed=33), timeout=180)
         elapsed = time.monotonic() - t0
@@ -170,7 +169,7 @@ class TestFaultSurfacing:
         self, serve_factory, monkeypatch
     ):
         monkeypatch.setenv(faults.ENV_VAR, "simulate@gzip:kill:*")
-        handle = serve_factory(batch_window_s=0.01)
+        handle = serve_factory()
         good = handle.submit(
             quick_payload(benchmark="mcf", seed=34), timeout=180
         )

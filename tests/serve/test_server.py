@@ -69,6 +69,11 @@ class TestCharacterizeRoundTrip:
         assert result["ok"] is True
         assert 0.0 <= result["estimated"] <= 1.0
         assert 0.0 <= result["observed"] <= 1.0
+        # the done event accounts for the request's own time
+        phases = events[-1]["phases"]
+        assert set(phases) == {"queue_s", "compute_s"}
+        assert phases["queue_s"] >= 0.0
+        assert phases["compute_s"] > 0.0
 
     def test_accepted_event_carries_digest_and_trace_id(
         self, serve_factory
@@ -99,7 +104,16 @@ class TestCharacterizeRoundTrip:
         )
 
     def test_concurrent_identical_requests_coalesce(self, serve_factory):
-        handle = serve_factory(batch_window_s=0.05)
+        handle = serve_factory()
+        # hold the job in flight until all three requests are admitted
+        gate = threading.Event()
+        inner = handle.server.coalescer.runner
+
+        def slow_runner(specs, progress):
+            assert gate.wait(60)
+            return inner(specs, progress)
+
+        handle.server.coalescer.runner = slow_runner
         payload = quick_payload(benchmark="mcf", seed=14)
         before = handle.stats()
         results = [None] * 3
@@ -112,6 +126,12 @@ class TestCharacterizeRoundTrip:
         ]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if handle.stats()["submitted"] - before["submitted"] >= 3:
+                break
+            time.sleep(0.02)
+        gate.set()
         for t in threads:
             t.join(120)
         after = handle.stats()
@@ -189,7 +209,7 @@ class TestRejections:
         assert other.status == 200
 
     def test_admission_backpressure_503(self, serve_factory):
-        handle = serve_factory(max_pending=1, batch_window_s=0.01)
+        handle = serve_factory(max_pending=1)
         gate = threading.Event()
         inner = handle.server.coalescer.runner
 

@@ -95,6 +95,27 @@ class TestExtendedCommands:
         assert "per-unit current" in out
         assert "clock" in out
 
+    @pytest.mark.parametrize("name", ["mcf", "gzip"])
+    def test_breakdown_bars_sum_to_printed_total(
+        self, name, capsys, monkeypatch
+    ):
+        from repro import cli
+
+        charted = {}
+        bar_chart = cli.viz.bar_chart
+
+        def capture(data, **kwargs):
+            charted.update(data)
+            return bar_chart(data, **kwargs)
+
+        monkeypatch.setattr(cli.viz, "bar_chart", capture)
+        assert main(["breakdown", name, "--cycles", "4096"]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        # the bars and the title's total cover the same measured cycles
+        _, total = cli._measure_breakdown(name, 4096)
+        assert f"total {total:.1f} A" in title
+        assert sum(charted.values()) == pytest.approx(total, rel=1e-9)
+
     def test_sizing_output(self, capsys):
         from repro.cli import main
 

@@ -75,6 +75,17 @@ class TestPipelineBreakdown:
         breakdown, mean = breakdown_for("gzip", cycles=3000)
         assert sum(breakdown.values()) == pytest.approx(mean, rel=1e-9)
 
+    def test_reset_restarts_the_average(self):
+        pipe = Pipeline(TABLE_1, iter(generate("mcf")), track_breakdown=True)
+        prewarm_caches(pipe.caches, "mcf")
+        for _ in range(1000):
+            pipe.tick()
+        pipe.reset_breakdown()
+        assert pipe.power_breakdown == {}
+        mean = float(np.mean([pipe.tick() for _ in range(2000)]))
+        breakdown = pipe.power_breakdown
+        assert sum(breakdown.values()) == pytest.approx(mean, rel=1e-9)
+
     def test_opt_in_required(self):
         pipe = Pipeline(TABLE_1, iter(generate("gzip")))
         with pytest.raises(RuntimeError):
