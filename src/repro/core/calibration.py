@@ -10,7 +10,10 @@ scale-pure synthetic signals of controlled adjacent correlation, measure
 the output voltage variance, and tabulate the ratio.
 
 The factors depend only on the supply network (not on any workload), so
-they are computed once per network and cached.
+they are computed once per network and cached.  The canonical networks'
+tables are constants, frozen in :mod:`repro.core._frozen_calibration`
+and looked up instead of recomputed; ``tools/regen_calibration.py``
+regenerates them.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from ..obs import trace as obs
 from ..power import ConvolutionVoltageSimulator, PowerSupplyNetwork
+from ..power.simulate import fft_convolve
 from ..wavelets import get_wavelet
+from ._frozen_calibration import SCALE_FACTORS
 
 __all__ = ["ScaleFactorModel", "calibrate_scale_factors"]
 
@@ -40,6 +44,8 @@ def _scale_pure_signals(
     closed form: ``d*hi``, scaled by ``lo`` once per finer level, repeated
     over its support — the inverse transform's own products, in its order.
     """
+    from scipy.signal import lfilter
+
     z = rng.normal(size=(trials, length >> level))
     noise_scale = np.sqrt(max(1.0 - rho * rho, 1e-12))
     z[:, 1:] = lfilter(
@@ -114,13 +120,36 @@ def calibrate_scale_factors(
     FFT convolution, and record the mean ratio of settled voltage variance
     to each signal's wavelet-scale variance.  Linearity of the network
     makes the ratio amplitude-independent.
+
+    The canonical supplies at the default sizes are looked up in the
+    frozen table, which holds exactly what the experiments compute.
     """
     # The network itself is the key: its hash and equality cover every
     # field exactly, so no two distinct networks share a factor table.
     key = (network, levels, signal_length, trials, seed)
     if key in _CACHE:
         return _CACHE[key]
+    table = SCALE_FACTORS.get(key)
+    if table is None:
+        table = _compute_scale_factors(network, levels, signal_length, trials, seed)
+    model = ScaleFactorModel(
+        network=network,
+        levels=tuple(range(1, levels + 1)),
+        rho_grid=tuple(_RHO_GRID),
+        table=table,
+    )
+    _CACHE[key] = model
+    return model
 
+
+def _compute_scale_factors(
+    network: PowerSupplyNetwork,
+    levels: int,
+    signal_length: int,
+    trials: int,
+    seed: int,
+) -> dict[int, tuple[float, ...]]:
+    """The factor table by experiment: one ``core.calibrate`` span."""
     if signal_length & (signal_length - 1):
         raise ValueError("signal_length must be a power of two")
     if levels < 1 or (1 << levels) > signal_length:
@@ -135,7 +164,7 @@ def calibrate_scale_factors(
             row = []
             for rho in _RHO_GRID:
                 currents = _scale_pure_signals(signal_length, level, rho, trials, rng)
-                droops = fftconvolve(currents, sim.kernel[None, :], axes=1)
+                droops = fft_convolve(currents, sim.kernel[None, :], axis=1)
                 ratios = []
                 for current, droop in zip(currents, droops):
                     var_i = float(np.sum(current**2)) / signal_length
@@ -144,11 +173,4 @@ def calibrate_scale_factors(
                 row.append(float(np.mean(ratios)))
             table[level] = tuple(row)
     obs.counter_inc("calibrations_total", 1, "cold scale-factor calibrations")
-    model = ScaleFactorModel(
-        network=network,
-        levels=tuple(range(1, levels + 1)),
-        rho_grid=tuple(_RHO_GRID),
-        table=table,
-    )
-    _CACHE[key] = model
-    return model
+    return table

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..power import PowerSupplyNetwork, default_tap_count, impulse_response
+from ..power.simulate import fft_convolve
 from ..wavelets import (
     WaveletConvolver,
     WaveletPacketTree,
@@ -89,11 +90,9 @@ class _CompressedKernelMonitor:
 
     def max_error_on(self, current: np.ndarray) -> float:
         """Worst |exact - estimated| voltage over a trace (Figure 13)."""
-        from scipy.signal import fftconvolve
-
         i = np.asarray(current, dtype=float)
         exact_kernel = impulse_response(self.network, self.taps)
-        exact = self.network.vdd - fftconvolve(i, exact_kernel)[: len(i)]
+        exact = self.network.vdd - fft_convolve(i, exact_kernel)[: len(i)]
         return float(np.max(np.abs(exact - self.estimate_trace(i))))
 
 
@@ -229,10 +228,8 @@ def recommended_margin(
     monitor = WaveletVoltageMonitor(network, terms=terms)
     estimation = monitor.max_error_on(calibration_trace)
     # Worst per-cycle voltage slew observed on the calibration trace.
-    from scipy.signal import fftconvolve
-
     kernel = impulse_response(network, monitor.taps)
     i = np.asarray(calibration_trace, dtype=float)
-    v = network.vdd - fftconvolve(i, kernel)[: len(i)]
+    v = network.vdd - fft_convolve(i, kernel)[: len(i)]
     worst_slew = float(np.max(np.abs(np.diff(v)))) if len(v) > 1 else 0.0
     return estimation + sensor_delay_cycles * worst_slew + slack

@@ -30,8 +30,6 @@ per-trace float64 path.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve as _direct_convolve
-from scipy.signal import fftconvolve, oaconvolve
 
 from . import register_kernel
 from .reference import check_traces_matrix
@@ -71,9 +69,11 @@ def convolution_plan(n: int, m: int) -> str:
 
 
 def _planned_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    from scipy.signal import convolve, fftconvolve, oaconvolve
+
     plan = convolution_plan(len(x), len(h))
     if plan == "direct":
-        return _direct_convolve(x, h, method="direct")
+        return convolve(x, h, method="direct")
     if plan == "overlap_add":
         return oaconvolve(x, h)
     return fftconvolve(x, h)

@@ -24,7 +24,6 @@ reshape trick.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve as _convolve
 
 from ..wavelets.filters import Wavelet, get_wavelet
 from ..wavelets.transform import max_level
@@ -187,18 +186,22 @@ def convolver_apply(convolver, x) -> np.ndarray:
     over a trace is exactly a causal convolution with that FIR —
     ``scipy.signal.convolve`` picks direct or FFT by size.
     """
+    from scipy.signal import convolve
+
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return np.empty(0)
     fir = convolver.compressed_fir()
-    return _convolve(x, fir, method="auto")[: len(x)]
+    return convolve(x, fir, method="auto")[: len(x)]
 
 
 @register_kernel("monitor_estimate_trace", "vectorized")
 def monitor_estimate_trace(monitor, current) -> np.ndarray:
     """Whole-trace voltage estimate via one compressed-kernel convolution."""
+    from scipy.signal import convolve
+
     i = np.asarray(current, dtype=float)
     if i.size == 0:
         return np.empty(0)
-    droop = _convolve(i, monitor.compressed_kernel, method="auto")[: len(i)]
+    droop = convolve(i, monitor.compressed_kernel, method="auto")[: len(i)]
     return monitor.network.vdd - droop

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, lil_matrix
-from scipy.sparse.linalg import splu
 
 from ..uarch.power_model import ActivityCounters, WattchPowerModel
 
@@ -76,12 +74,16 @@ class PowerGrid:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"pad ({r},{c}) outside the grid")
         self.pad_nodes = tuple(pad_nodes)
+        from scipy.sparse.linalg import splu
+
         self._lu = splu(self._conductance_matrix())
 
     def _index(self, r: int, c: int) -> int:
         return r * self.cols + c
 
-    def _conductance_matrix(self) -> csc_matrix:
+    def _conductance_matrix(self):
+        from scipy.sparse import csc_matrix, lil_matrix
+
         n = self.rows * self.cols
         g_seg = 1.0 / self.segment_resistance
         g_pad = 1.0 / self.pad_resistance

@@ -19,18 +19,41 @@ same physics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .impulse import biquad_coefficients, default_tap_count, impulse_response
 from .network import PowerSupplyNetwork
 
 __all__ = [
     "ConvolutionVoltageSimulator",
+    "fft_convolve",
     "StreamingVoltageModel",
     "simulate_voltage",
     "count_emergencies",
     "emergency_fraction",
 ]
+
+
+def fft_convolve(x: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Full linear convolution of real ``x`` and ``h`` along ``axis``.
+
+    The same transforms, FFT size and products as
+    ``scipy.signal.fftconvolve(x, h, axes=axis)`` for real input, so the
+    result is bit-identical to it, without importing ``scipy.signal``.
+    ``h`` broadcasts against ``x`` on every other axis.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if x.size == 0 or h.size == 0:
+        return np.array([])
+    if x.shape[axis] == 1 or h.shape[axis] == 1:
+        # a length-1 operand is a plain product, as SciPy computes it
+        return x * h
+    n = x.shape[axis] + h.shape[axis] - 1
+    size = next_fast_len(n, real=True)
+    spectrum = rfft(x, size, axis=axis) * rfft(h, size, axis=axis)
+    out = irfft(spectrum, size, axis=axis)
+    return out[(slice(None),) * (axis % out.ndim) + (slice(n),)]
 
 
 class ConvolutionVoltageSimulator:
@@ -56,7 +79,7 @@ class ConvolutionVoltageSimulator:
             raise ValueError("current trace must be 1-D")
         if len(i) == 0:
             return np.empty(0)
-        return fftconvolve(i, self.kernel)[: len(i)]
+        return fft_convolve(i, self.kernel)[: len(i)]
 
     def voltage(self, current: np.ndarray) -> np.ndarray:
         """Per-cycle supply voltage ``vdd - droop``."""
@@ -94,6 +117,8 @@ class StreamingVoltageModel:
 
     def run(self, current: np.ndarray) -> np.ndarray:
         """Vectorized batch run (scipy ``lfilter``), same recursion."""
+        from scipy.signal import lfilter
+
         i = np.asarray(current, dtype=float)
         bq = self._bq
         droop = lfilter([bq.b0, bq.b1, bq.b2], [1.0, bq.a1, bq.a2], i)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .gaussian import GaussianModel, normal_quantile
 
@@ -64,6 +63,8 @@ def chi_square_gaussian_test(
     paper's finding that the non-Gaussian remainder consists of very
     low-variance windows.
     """
+    from scipy.stats import chi2
+
     x = np.asarray(samples, dtype=float)
     if x.size < 16:
         raise ValueError("window too small for a meaningful chi-square test")
@@ -94,7 +95,7 @@ def chi_square_gaussian_test(
     statistic = float(np.sum((observed - expected) ** 2) / expected)
 
     dof = max(1, k - 1 - 2)  # two parameters estimated from the sample
-    critical = float(sstats.chi2.ppf(significance, df=dof))
+    critical = float(chi2.ppf(significance, df=dof))
     return ChiSquareResult(
         statistic=statistic,
         critical=critical,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 __all__ = ["JarqueBeraResult", "jarque_bera_test"]
 
@@ -41,6 +40,8 @@ def jarque_bera_test(
     accepted, mirroring the χ² implementation so the two are directly
     comparable on the same window population.
     """
+    from scipy.stats import chi2
+
     x = np.asarray(samples, dtype=float)
     if x.size < 8:
         raise ValueError("need at least 8 samples")
@@ -64,7 +65,7 @@ def jarque_bera_test(
     skew = m3 / m2**1.5
     kurt = m4 / m2**2 - 3.0
     statistic = n / 6.0 * (skew**2 + kurt**2 / 4.0)
-    critical = float(sstats.chi2.ppf(significance, df=2))
+    critical = float(chi2.ppf(significance, df=2))
     return JarqueBeraResult(
         statistic=statistic,
         critical=critical,

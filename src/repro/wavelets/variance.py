@@ -16,7 +16,6 @@ Confidence intervals follow Serroukh/Walden/Percival (the paper's [19]).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sstats
 
 from .coefficients import WaveletDecomposition, decompose
 from .filters import Wavelet
@@ -101,6 +100,8 @@ def variance_confidence_interval(
     independent Gaussians (exact under the Gaussian-window model of §4.1),
     so ``M * var_hat / var ~ chi2(M)``.
     """
+    from scipy.stats import chi2
+
     d = np.asarray(detail, dtype=float)
     m = d.size
     if m < 2:
@@ -109,6 +110,6 @@ def variance_confidence_interval(
         raise ValueError("confidence must be in (0, 1)")
     est = float(np.mean(d**2))
     alpha = 1.0 - confidence
-    lo_q = sstats.chi2.ppf(1.0 - alpha / 2.0, df=m)
-    hi_q = sstats.chi2.ppf(alpha / 2.0, df=m)
+    lo_q = chi2.ppf(1.0 - alpha / 2.0, df=m)
+    hi_q = chi2.ppf(alpha / 2.0, df=m)
     return m * est / lo_q, m * est / hi_q

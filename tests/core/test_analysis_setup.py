@@ -10,7 +10,7 @@ from repro.core import (
     l2_miss_report,
     reference_network,
 )
-from repro.power import count_emergencies, simulate_voltage
+from repro.power import PowerSupplyNetwork, count_emergencies, simulate_voltage
 from repro.uarch import simulate_benchmark
 from repro.workloads import stressmark_stream
 
@@ -46,6 +46,26 @@ class TestCalibratedSupply:
         a = calibrated_supply(125)
         b = calibrated_supply(150)
         assert a.peak_impedance == b.peak_impedance
+
+    @pytest.mark.parametrize("default_first", [True, False])
+    def test_memo_keys_on_the_whole_base_network(self, monkeypatch, default_first):
+        # vdd and tolerance set the band the stressmark must fill, so a
+        # base differing only in those needs its own calibration, whatever
+        # was memoized first.
+        from repro.core import setup
+
+        monkeypatch.setattr(setup, "_CACHE", {})
+        base = PowerSupplyNetwork(vdd=1.2, tolerance=0.03)
+        if default_first:
+            default = calibrated_supply(100)
+            custom = calibrated_supply(100, base=base)
+        else:
+            custom = calibrated_supply(100, base=base)
+            default = calibrated_supply(100)
+        assert default == calibrated_supply(100, base=reference_network())
+        assert custom.peak_impedance == 0.0033930443788609296
+        assert custom.peak_impedance != default.peak_impedance
+        assert (custom.vdd, custom.tolerance) == (1.2, 0.03)
 
     def test_reference_defaults(self):
         net = reference_network()

@@ -5,7 +5,9 @@ for speed from time to time; their outputs must not move by a single bit.
 ``tests/fixtures/bit_identity.json`` holds sha256 digests of
 
 * the ``ScaleFactorModel.table`` floats for the 100 % and 150 % supplies
-  at 6 and 8 levels, and
+  at 6 and 8 levels, computed by experiment (the frozen lookup that
+  ``calibrate_scale_factors`` serves them from is pinned against the
+  same computation in ``tests/core/test_frozen_calibration.py``), and
 * the per-cycle current plus cycle/commit/L2-miss counts of a short run
   of all 26 SPEC2000 models and the dI/dt stressmark,
 * for the same runs, the current, the per-cycle L2-miss-outstanding flag
@@ -37,10 +39,11 @@ import scipy
 from repro.core import (
     ThresholdController,
     WaveletVoltageMonitor,
-    calibrate_scale_factors,
     calibrated_supply,
+    reference_network,
     run_control_experiment,
 )
+from repro.core import calibration, setup
 from repro.uarch import TABLE_1, Pipeline, Simulator, simulate_benchmark
 from repro.workloads import generate, stressmark_stream
 from repro.workloads.generator import prewarm_caches
@@ -61,11 +64,19 @@ CONTROL_TERMS = 13
 BREAKDOWN_BENCHMARK = "gzip"
 
 
+@functools.cache
+def computed_peak_impedance() -> float:
+    return setup._stressmark_peak_impedance(reference_network(), 12288)
+
+
 def table_digest(percent: int, levels: int) -> str:
-    model = calibrate_scale_factors(calibrated_supply(percent), levels)
+    network = reference_network().with_peak_impedance(computed_peak_impedance())
+    table = calibration._compute_scale_factors(
+        network.with_scale(percent / 100.0), levels, 16384, 4, 2004
+    )
     h = hashlib.sha256()
-    for level in model.levels:
-        h.update(np.asarray(model.table[level], dtype=np.float64).tobytes())
+    for level in range(1, levels + 1):
+        h.update(np.asarray(table[level], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
