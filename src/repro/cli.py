@@ -46,11 +46,6 @@ serve live ``/metrics``, ``/healthz`` and ``/events`` endpoints while
 the command runs, and ``--obs-profile SECONDS`` to start the continuous
 resource profiler at that sampling period (supervisor and every pool
 worker); see ``docs/OBSERVABILITY.md``.
-``--kernel-backend {batched,vectorized,reference}`` (again before or
-after the subcommand) pins the numerical kernel backend for the whole
-run, including pipeline worker processes; ``batched`` additionally
-fuses compatible characterization jobs into block dispatch units (see
-``docs/KERNELS.md``).
 
 Exit codes are uniform across commands: 0 — success; 1 — the work ran
 but some of it failed (a partial-failure batch, a failed job); 2 — the
@@ -147,13 +142,6 @@ def _obs_options() -> argparse.ArgumentParser:
         help="write the bound obs endpoint address as 'host port' "
              "(use with --obs-listen HOST:0 for ephemeral ports)",
     )
-    parent.add_argument(
-        "--kernel-backend",
-        choices=("batched", "vectorized", "reference"),
-        default=argparse.SUPPRESS,
-        help="numerical kernel backend (default vectorized; batched "
-             "fuses multi-trace work, reference is the scalar oracle)",
-    )
     return parent
 
 
@@ -189,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the bound obs endpoint address as 'host port' "
              "(use with --obs-listen HOST:0 for ephemeral ports)",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("batched", "vectorized", "reference"),
-        default=None,
-        help="numerical kernel backend (default vectorized)",
     )
     obs_opts = _obs_options()
     sub = parser.add_subparsers(dest="command", required=True)
@@ -775,8 +757,8 @@ def _cmd_pipeline_run(args) -> int:
         f"{cache_dir if cache_dir else 'disabled'}",
         flush=True,
     )
-    # submit() exports the fault plan (and kernel backend, when one is
-    # configured) to the environment for pool workers, restoring after.
+    # submit() exports the fault plan to the environment for pool
+    # workers, restoring it after.
     batch = submit(specs, options, progress=progress)
     lines = ["", _batch_footer(batch)]
     predictions = predictions_from(batch)
@@ -1396,13 +1378,6 @@ def _cmd_loadgen(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "kernel_backend", None)
-    if backend:
-        from .kernels import ENV_VAR, KernelConfig
-
-        # The env var carries the choice into pipeline worker processes.
-        os.environ[ENV_VAR] = backend
-        KernelConfig(backend=backend).activate()
     obs_mode = getattr(args, "obs", "off")
     obs_listen = getattr(args, "obs_listen", None)
     obs_profile = float(getattr(args, "obs_profile", 0.0) or 0.0)

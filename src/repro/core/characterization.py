@@ -145,9 +145,8 @@ class WaveletVoltageEstimator:
     def voltage_params_from(self, stats) -> tuple[np.ndarray, np.ndarray]:
         """Per-window Gaussian (mean, variance) from batched statistics.
 
-        Pure elementwise NumPy on a :class:`~repro.kernels.WindowStats`
-        — backend-independent, which is what lets every
-        ``characterize_block`` backend share it.
+        Pure elementwise NumPy on a :class:`~repro.kernels.WindowStats`,
+        so it is the same under every kernel backend.
         """
         v_var = np.zeros(stats.windows)
         for lvl in range(1, self.levels + 1):
@@ -294,42 +293,6 @@ class WaveletVoltageEstimator:
             "characterize_traces_total", 1, "whole-trace characterizations"
         )
         return float(probs.sum()) / count
-
-    def characterize_traces(
-        self, traces: np.ndarray, threshold: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """§4.1 probabilities and terms for a whole stack of traces.
-
-        ``traces`` is a rectangular ``(N, cycles)`` matrix; dispatches
-        the ``characterize_block`` kernel (one fused pass on the
-        ``batched`` backend).  Returns ``(probs, terms)`` of shapes
-        ``(N, W)`` and ``(N, levels, W)``; row ``k`` is bit-identical to
-        :meth:`characterize_windows` on trace ``k`` alone.
-        """
-        traces = np.asarray(traces)
-        with obs.span(
-            "characterize.block",
-            traces=int(traces.shape[0]) if traces.ndim == 2 else 0,
-            threshold=threshold,
-        ):
-            return get_kernel("characterize_block")(self, traces, threshold)
-
-    def estimate_traces(
-        self, traces: np.ndarray, threshold: float
-    ) -> np.ndarray:
-        """Per-trace below-threshold fractions for an ``(N, cycles)`` stack.
-
-        Element ``k`` equals :meth:`estimate_fraction_below` on trace
-        ``k`` to the bit.
-        """
-        probs, _ = self.characterize_traces(traces, threshold)
-        count = probs.shape[1]
-        obs.counter_inc(
-            "characterize_traces_total",
-            probs.shape[0],
-            "whole-trace characterizations",
-        )
-        return probs.sum(axis=1) / count
 
     def estimate_voltage_variance(self, current: np.ndarray) -> float:
         """Mean estimated per-window voltage variance over a trace."""

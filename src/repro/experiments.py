@@ -42,7 +42,7 @@ from .core import (
     gaussianity_study,
     predict_trace,
 )
-from .kernels import get_backend
+from .kernels import resolve_backend
 from .obs import trace as obs
 from .pipeline import (
     BatchOptions,
@@ -205,7 +205,7 @@ def characterize_suite(
         benchmarks=len(names),
         cycles=cycles,
         threshold=threshold,
-        kernel_backend=get_backend(),
+        kernel_backend=resolve_backend(),
     ):
         batch = submit(specs, BatchOptions(jobs=jobs, cache_dir=cache_dir))
     return Figure9Result(

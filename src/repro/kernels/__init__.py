@@ -1,20 +1,17 @@
-"""Kernel-dispatch layer: one name, interchangeable backends.
+"""Kernel-dispatch layer: one name, two interchangeable backends.
 
 The paper's online monitor (§5) exists because per-cycle convolution is
 too expensive; this package is the software mirror of that concern.  The
 hot numerical inner loops of the reproduction — the Haar transform, the
 per-window wavelet statistics of §4.1, the Gaussian emergency-fraction
 evaluation, and the truncated subband convolution of §5.1 — exist in
-three tiers:
+two tiers:
 
 * ``reference`` — the slow, obviously-correct scalar implementations
   (per-window loops, per-cycle dot products), kept as the oracle;
 * ``vectorized`` — NumPy block implementations (strided reshape-and-sum
   wavelet transforms, one 2-D pass over every window of a trace, FIR/FFT
-  convolution over whole traces);
-* ``batched`` — multi-trace implementations: the §4.1 chain fused into
-  one pass over an ``(N_traces, cycles)`` stack, and FFT/overlap-add
-  convolution with an automatic crossover heuristic.
+  convolution over whole traces), the production backend.
 
 Call sites go through :func:`get_kernel`, so the backends stay
 plug-compatible and ``tests/kernels/test_equivalence.py`` can assert
@@ -22,31 +19,20 @@ they agree on every registered kernel.
 
 Backend selection
 -----------------
-One object, :class:`KernelConfig`, owns backend selection.  Resolution
-order (first hit wins):
+Resolution order (first hit wins):
 
 1. an explicit ``backend=`` argument to :func:`get_kernel` /
-   :func:`resolve_kernel`;
+   :func:`resolve_backend`;
 2. the innermost active ``with KernelConfig(backend=...):`` context;
-3. the process-wide config installed by ``KernelConfig(...).activate()``;
-4. the ``REPRO_KERNEL_BACKEND`` environment variable (read live);
-5. :data:`DEFAULT_BACKEND` (``vectorized``).
+3. :data:`DEFAULT_BACKEND` (``vectorized``).
 
-The older ``set_backend`` / ``use_backend`` entry points remain as thin
-shims that emit :class:`DeprecationWarning` and delegate to
-:class:`KernelConfig`.
-
-A kernel registered one-sided falls back along the chain
-``batched → vectorized → reference``; the fallback is explicit in
-:func:`resolve_kernel`'s return value and logged once per
-(kernel, backend) pair.  Pinning an explicit backend never falls back —
-a missing implementation raises.
+Every kernel is registered in both backends (the equivalence battery
+fails on a one-sided registration), so resolution never falls back.
 
 Kernel contract
 ---------------
 A kernel is a pure function of its arguments registered under the same
-name in **every** backend (the equivalence battery fails loudly on a
-one-sided registration).  The registered signatures:
+name in **every** backend.  The registered signatures:
 
 ``wavedec(x, wavelet="haar", level=None)``
     Multilevel periodized DWT, ``[aJ, dJ, ..., d1]``.
@@ -62,21 +48,15 @@ one-sided registration).  The registered signatures:
     whole trace (truncated K-term subband convolution).
 ``monitor_estimate_trace(monitor, current)``
     A compressed-kernel voltage monitor run over a whole trace.
-``characterize_block(estimator, traces, threshold)``
-    The full §4.1 chain over an ``(N_traces, cycles)`` stack, returning
-    per-trace probability and contribution-term matrices.
 
 With observability on (``--obs``), every dispatched call is timed under
-a ``kernel.<name>`` span tagged with the backend actually used, so
+a ``kernel.<name>`` span tagged with the backend used, so
 ``--obs summary`` attributes hot-path time kernel by kernel.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
-import os
-import warnings
 from dataclasses import dataclass
 
 from ..obs import trace as obs
@@ -87,31 +67,18 @@ __all__ = [
     "WindowStats",
     "available_backends",
     "available_kernels",
-    "get_backend",
     "get_kernel",
     "register_kernel",
     "resolve_backend",
-    "resolve_kernel",
-    "set_backend",
-    "use_backend",
 ]
 
 #: Backend chosen when nothing else selects one.
 DEFAULT_BACKEND = "vectorized"
 
-#: Environment variable consulted (live) by :func:`resolve_backend`.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-_BACKENDS = ("reference", "vectorized", "batched")
+_BACKENDS = ("reference", "vectorized")
 
 #: name -> backend -> implementation
 _REGISTRY: dict[str, dict[str, object]] = {}
-
-#: One-sided registrations resolve down this chain (never up).
-_FALLBACK_CHAIN = {"batched": "vectorized", "vectorized": "reference"}
-
-_log = logging.getLogger(__name__)
-_warned_fallbacks: set[tuple[str, str]] = set()
 
 
 def available_backends() -> tuple[str, ...]:
@@ -152,20 +119,16 @@ def register_kernel(name: str, backend: str):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Backend selection as a value: context manager or process default.
+    """A scoped backend override.
 
     ``backend=None`` means "inherit" — entering such a config changes
-    nothing.  Use as a scoped override::
+    nothing.  Use as a context manager::
 
         with KernelConfig(backend="reference"):
             ...  # dynamically dispatched kernels use the oracle
 
-    or install process-wide (what ``--kernel-backend`` does)::
-
-        KernelConfig(backend="batched").activate()
-
     Resolution order: explicit ``backend=`` argument > innermost active
-    context > process config > ``REPRO_KERNEL_BACKEND`` > the default.
+    context > :data:`DEFAULT_BACKEND`.
     """
 
     backend: str | None = None
@@ -182,22 +145,15 @@ class KernelConfig:
         _STACK.pop()
         return False
 
-    def activate(self) -> KernelConfig:
-        """Install as the process-wide config (below any active context)."""
-        global _PROCESS
-        _PROCESS = self
-        return self
-
 
 _STACK: list[KernelConfig] = []
-_PROCESS: KernelConfig | None = None
 
 
 def resolve_backend(explicit: str | None = None) -> str:
     """The backend the next dynamic dispatch would use.
 
     Applies the documented resolution order; raises ``ValueError`` on an
-    unknown explicit name or a misconfigured environment variable.
+    unknown explicit name.
     """
     if explicit is not None:
         _check_backend(explicit)
@@ -205,41 +161,7 @@ def resolve_backend(explicit: str | None = None) -> str:
     for config in reversed(_STACK):
         if config.backend is not None:
             return config.backend
-    if _PROCESS is not None and _PROCESS.backend is not None:
-        return _PROCESS.backend
-    env = os.environ.get(ENV_VAR)
-    if env:
-        if env not in _BACKENDS:
-            raise ValueError(f"{ENV_VAR}={env!r} is not one of {_BACKENDS}")
-        return env
     return DEFAULT_BACKEND
-
-
-def get_backend() -> str:
-    """The currently active backend name (alias of :func:`resolve_backend`)."""
-    return resolve_backend()
-
-
-def set_backend(backend: str) -> None:
-    """Deprecated: use ``KernelConfig(backend=...).activate()``."""
-    warnings.warn(
-        "set_backend() is deprecated; use "
-        "KernelConfig(backend=...).activate()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    KernelConfig(backend=backend).activate()
-
-
-def use_backend(backend: str) -> KernelConfig:
-    """Deprecated: use ``with KernelConfig(backend=...):``."""
-    warnings.warn(
-        "use_backend() is deprecated; use "
-        "with KernelConfig(backend=...): ...",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return KernelConfig(backend=backend)
 
 
 def get_kernel(name: str, backend: str | None = None):
@@ -247,39 +169,16 @@ def get_kernel(name: str, backend: str | None = None):
 
     With ``backend=None`` (the normal call-site form) the returned
     callable re-resolves the active backend on **every call**, so
-    :class:`KernelConfig` contexts affect kernels fetched earlier, and a
-    one-sided registration falls back down the chain (logged once).
-    With an explicit backend it is pinned to that exact implementation —
-    no fallback; a missing implementation raises.  Either way the call
-    is wrapped in a ``kernel.<name>`` tracing span when observability is
-    enabled.
+    :class:`KernelConfig` contexts affect kernels fetched earlier.  With
+    an explicit backend it is pinned to that implementation.  Either way
+    the call is wrapped in a ``kernel.<name>`` tracing span when
+    observability is enabled.
     """
     impls = _kernel_impls(name)
     if backend is not None:
         _check_backend(backend)
-        try:
-            impl = impls[backend]
-        except KeyError:
-            raise ValueError(
-                f"kernel {name!r} has no {backend!r} implementation"
-            ) from None
-        return _spanned(name, backend, impl)
+        return _spanned(name, backend, impls[backend])
     return _dispatcher(name)
-
-
-def resolve_kernel(name: str, backend: str | None = None):
-    """Resolve ``name`` right now, fallback included: ``(impl, backend)``.
-
-    Unlike :func:`get_kernel` this makes the fallback explicit in the
-    return value: the second element is the backend that will actually
-    run, which differs from the requested/active one when the kernel is
-    registered one-sided.  The resolution is a snapshot — later
-    :class:`KernelConfig` changes do not affect the returned callable.
-    """
-    impls = _kernel_impls(name)
-    requested = resolve_backend(backend)
-    impl, used = _resolve_impl(name, impls, requested)
-    return _spanned(name, used, impl), used
 
 
 def _kernel_impls(name: str) -> dict[str, object]:
@@ -289,31 +188,6 @@ def _kernel_impls(name: str) -> dict[str, object]:
         raise ValueError(
             f"unknown kernel {name!r}; available: {list(available_kernels())}"
         ) from None
-
-
-def _resolve_impl(name: str, impls: dict[str, object], requested: str):
-    used: str | None = requested
-    while used is not None:
-        impl = impls.get(used)
-        if impl is not None:
-            if used != requested:
-                _note_fallback(name, requested, used)
-            return impl, used
-        used = _FALLBACK_CHAIN.get(used)
-    raise ValueError(f"kernel {name!r} has no {requested!r} implementation")
-
-
-def _note_fallback(name: str, requested: str, used: str) -> None:
-    key = (name, requested)
-    if key in _warned_fallbacks:
-        return
-    _warned_fallbacks.add(key)
-    _log.warning(
-        "kernel %r has no %r implementation; falling back to %r",
-        name,
-        requested,
-        used,
-    )
 
 
 def _spanned(name: str, backend: str, impl):
@@ -329,8 +203,11 @@ def _spanned(name: str, backend: str, impl):
 
 @functools.lru_cache(maxsize=None)
 def _dispatcher(name: str):
+    impls = _REGISTRY[name]
+
     def call(*args, **kwargs):
-        impl, backend = _resolve_impl(name, _REGISTRY[name], resolve_backend())
+        backend = resolve_backend()
+        impl = impls[backend]
         if obs.ENABLED:
             with obs.span(f"kernel.{name}", backend=backend):
                 return impl(*args, **kwargs)
@@ -343,4 +220,4 @@ def _dispatcher(name: str):
 # Importing the backends registers every kernel; WindowStats is part of
 # the public window_stats contract.
 from .reference import WindowStats  # noqa: E402
-from . import reference, vectorized, batched  # noqa: E402,F401
+from . import reference, vectorized  # noqa: E402,F401

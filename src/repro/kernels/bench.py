@@ -39,8 +39,6 @@ _SIZES = {
     "gaussian_n": (1 << 16, 1 << 12),
     "convolver_n": (1 << 14, 1 << 12),
     "monitor_n": (1 << 16, 1 << 13),
-    "block_traces": (8, 3),
-    "block_cycles": (1 << 14, 1 << 12),
     "batch_benchmarks": (26, 4),
     "batch_cycles": (1 << 15, 1 << 13),
     "obs_benchmarks": (4, 2),
@@ -118,7 +116,7 @@ def _workload_trace(cycles: int):
 
 def _kernel_cases(quick: bool, network) -> dict:
     """Input builders per kernel: name -> (args, kwargs)."""
-    from ..core import WaveletVoltageEstimator, WaveletVoltageMonitor
+    from ..core import WaveletVoltageMonitor
     from ..wavelets import WaveletConvolver
     from ..power import impulse_response
 
@@ -142,16 +140,7 @@ def _kernel_cases(quick: bool, network) -> dict:
     conv_trace = _synthetic_trace(_size("convolver_n", quick), seed=5)
     mon_trace = _synthetic_trace(_size("monitor_n", quick), seed=6)
 
-    estimator = WaveletVoltageEstimator(network)
-    block = np.stack(
-        [
-            _synthetic_trace(_size("block_cycles", quick), seed=10 + i)
-            for i in range(_size("block_traces", quick))
-        ]
-    )
-
     return {
-        "characterize_block": ((estimator, block, 0.97), {}),
         "wavedec": ((trace, "haar"), {}),
         "waverec": ((coeffs, "haar"), {}),
         "window_stats": ((windows, 8), {}),
@@ -199,84 +188,6 @@ def _bench_characterize_batch(quick: bool, network, repeats: int) -> dict:
         "max_abs_diff": float(
             np.max(np.abs(np.array(ref_out) - np.array(vec_out)))
         ),
-    }
-
-
-def _bench_throughput(quick: bool, network, repeats: int) -> dict:
-    """End-to-end characterize throughput in traces/sec, three ways.
-
-    ``characterize`` times the kernel layer directly: a vectorized
-    per-trace ``estimate_fraction_below`` loop against one fused
-    ``estimate_traces`` call on the batched backend — the tier-2 gate
-    metric (``batched_speedup`` must stay >= 1).  ``pipeline_block``
-    times the dispatch layer: the same specs submitted with block
-    fusion off and on (both under the batched backend, simulator memo
-    warm), isolating what block dispatch itself buys end to end.
-    """
-    from ..core import WaveletVoltageEstimator
-    from ..pipeline import BatchOptions, build_characterization_jobs, submit
-    from ..uarch import simulate_benchmark
-    from ..workloads import SPEC2000
-
-    count = _size("batch_benchmarks", quick)
-    cycles = _size("batch_cycles", quick)
-    names = tuple(sorted(SPEC2000))[:count]
-    traces = np.stack(
-        [simulate_benchmark(name, cycles=cycles).current for name in names]
-    )
-    estimator = WaveletVoltageEstimator(network)
-
-    def per_trace():
-        return [
-            estimator.estimate_fraction_below(trace, 0.97)
-            for trace in traces
-        ]
-
-    def fused():
-        return estimator.estimate_traces(traces, 0.97)
-
-    with obs.span("bench.throughput", traces=count, cycles=cycles):
-        with KernelConfig(backend="vectorized"):
-            vec_out = per_trace()
-            vec_s = _best_of(per_trace, repeats)
-        with KernelConfig(backend="batched"):
-            fused_out = fused()
-            fused_s = _best_of(fused, repeats)
-
-        specs = build_characterization_jobs(names, network, cycles=cycles)
-        base = BatchOptions(kernels=KernelConfig(backend="batched"))
-        pipeline_repeats = max(1, repeats - 3)
-
-        def run_single():
-            submit(specs, base.with_(block="never"))
-
-        def run_blocks():
-            submit(specs, base.with_(block="always"))
-
-        run_single()  # warm the simulator memo for both paths
-        single_s = _best_of(run_single, pipeline_repeats)
-        block_s = _best_of(run_blocks, pipeline_repeats)
-
-    return {
-        "characterize": {
-            "traces": count,
-            "cycles": cycles,
-            "repeats": repeats,
-            "vectorized_traces_per_s": count / vec_s if vec_s > 0 else float("inf"),
-            "batched_traces_per_s": count / fused_s if fused_s > 0 else float("inf"),
-            "batched_speedup": vec_s / fused_s if fused_s > 0 else float("inf"),
-            "max_abs_diff": float(
-                np.max(np.abs(np.asarray(vec_out) - fused_out))
-            ),
-        },
-        "pipeline_block": {
-            "traces": count,
-            "cycles": cycles,
-            "repeats": pipeline_repeats,
-            "per_trace_traces_per_s": count / single_s if single_s > 0 else float("inf"),
-            "block_traces_per_s": count / block_s if block_s > 0 else float("inf"),
-            "block_speedup": single_s / block_s if block_s > 0 else float("inf"),
-        },
     }
 
 
@@ -382,7 +293,6 @@ def run_bench(
     results["end_to_end"]["characterize_batch"] = _bench_characterize_batch(
         quick, network, repeats
     )
-    results["throughput"] = _bench_throughput(quick, network, repeats)
     results["obs_overhead"] = _bench_obs_overhead(quick, network, repeats)
     if output is not None:
         Path(output).write_text(json.dumps(results, indent=2) + "\n")
@@ -403,23 +313,6 @@ def format_results(results: dict) -> str:
             f"  {name:<24} {row['reference_s'] * 1e3:>9.2f}ms "
             f"{row['vectorized_s'] * 1e3:>9.2f}ms "
             f"{row['speedup']:>7.1f}x  {row['max_abs_diff']:>9.2e}"
-        )
-    throughput = results.get("throughput")
-    if throughput:
-        char = throughput["characterize"]
-        lines.append(
-            f"  characterize throughput: "
-            f"{char['vectorized_traces_per_s']:.1f} traces/s vectorized vs "
-            f"{char['batched_traces_per_s']:.1f} traces/s batched "
-            f"({char['batched_speedup']:.2f}x, "
-            f"{char['traces']}x{char['cycles']} cycles)"
-        )
-        block = throughput["pipeline_block"]
-        lines.append(
-            f"  pipeline block dispatch: "
-            f"{block['per_trace_traces_per_s']:.1f} traces/s per-trace vs "
-            f"{block['block_traces_per_s']:.1f} traces/s blocked "
-            f"({block['block_speedup']:.2f}x)"
         )
     overhead = results.get("obs_overhead")
     if overhead:

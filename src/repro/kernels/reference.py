@@ -62,21 +62,6 @@ def check_windows_matrix(windows: np.ndarray, level: int) -> np.ndarray:
     return w
 
 
-def check_traces_matrix(traces) -> np.ndarray:
-    """Shared validation for ``characterize_block``: a float ``(N, cycles)``
-    matrix.  Ragged inputs (traces of unequal length) are rejected —
-    block grouping only ever stacks same-shape traces."""
-    try:
-        t = np.asarray(traces, dtype=float)
-    except ValueError as exc:
-        raise ValueError(
-            "traces must be a rectangular (n_traces, cycles) matrix"
-        ) from exc
-    if t.ndim != 2:
-        raise ValueError("traces must be a 2-D (n_traces, cycles) matrix")
-    return t
-
-
 @register_kernel("wavedec", "reference")
 def wavedec(x, wavelet: str | Wavelet = "haar", level: int | None = None):
     """The original per-level transform of :mod:`repro.wavelets.transform`."""
@@ -122,26 +107,6 @@ def gaussian_prob_below(means, variances, threshold: float) -> np.ndarray:
             for mean, var in zip(m.ravel(), v.ravel())
         ]
     ).reshape(m.shape)
-
-
-@register_kernel("characterize_block", "reference")
-def characterize_block(estimator, traces, threshold: float):
-    """One trace at a time through the scalar kernels — the block oracle.
-
-    Returns ``(probs, terms)`` of shapes ``(N, W)`` and
-    ``(N, levels, W)``: exactly what running each trace alone through
-    ``window_stats`` → factor lookup → ``gaussian_prob_below`` yields.
-    """
-    t = check_traces_matrix(traces)
-    probs_rows = []
-    terms_rows = []
-    for row in t:
-        windows = estimator.tile_windows(row)
-        stats = window_stats(windows, estimator.levels)
-        mean_v, v_var = estimator.voltage_params_from(stats)
-        probs_rows.append(gaussian_prob_below(mean_v, v_var, threshold))
-        terms_rows.append(estimator.contribution_terms_from(stats))
-    return np.stack(probs_rows), np.stack(terms_rows)
 
 
 @register_kernel("convolver_apply", "reference")

@@ -30,7 +30,7 @@ from ..wavelets.transform import max_level
 from ..wavelets.transform import wavedec as _wavedec_direct
 from ..wavelets.transform import waverec as _waverec_direct
 from . import register_kernel
-from .reference import WindowStats, check_traces_matrix, check_windows_matrix
+from .reference import WindowStats, check_windows_matrix
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -155,26 +155,6 @@ def gaussian_prob_below(means, variances, threshold: float) -> np.ndarray:
     z = (threshold - m[live]) / np.sqrt(v[live])
     probs[live] = 0.5 * (1.0 + erf(z / _SQRT2))
     return probs
-
-
-@register_kernel("characterize_block", "vectorized")
-def characterize_block(estimator, traces, threshold: float):
-    """Per-trace vectorized passes over a stack (rows stay independent).
-
-    The ``batched`` backend fuses the rows into one pass; this tier
-    keeps the per-trace 2-D ``window_stats`` call, so it is the natural
-    baseline the fused kernel's throughput is measured against.
-    """
-    t = check_traces_matrix(traces)
-    probs_rows = []
-    terms_rows = []
-    for row in t:
-        windows = estimator.tile_windows(row)
-        stats = window_stats(windows, estimator.levels)
-        mean_v, v_var = estimator.voltage_params_from(stats)
-        probs_rows.append(gaussian_prob_below(mean_v, v_var, threshold))
-        terms_rows.append(estimator.contribution_terms_from(stats))
-    return np.stack(probs_rows), np.stack(terms_rows)
 
 
 @register_kernel("convolver_apply", "vectorized")

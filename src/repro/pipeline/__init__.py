@@ -26,11 +26,7 @@ Quickstart::
     )
     print(predictions_from(batch))
 
-``submit`` + :class:`BatchOptions` is the one execution entry point
-(``run_batch`` survives as a deprecation shim).  Compatible
-characterization jobs fuse into block dispatch units when the
-``batched`` kernel backend is active — see
-:mod:`repro.pipeline.blocks`.
+``submit`` + :class:`BatchOptions` is the one execution entry point.
 
 See ``docs/PIPELINE.md`` for the job model, cache layout and worker
 tuning guidance.
@@ -44,10 +40,8 @@ from .batch import (
     control_results_from,
     prediction_from_outcome,
     predictions_from,
-    run_batch,
     suite_names,
 )
-from .blocks import BlockOutcome, BlockSpec, group_blocks
 from .cache import CacheStats, ResultCache
 from .executor import (
     BatchResult,
@@ -87,8 +81,6 @@ from .windows import (
 __all__ = [
     "BatchOptions",
     "BatchResult",
-    "BlockOutcome",
-    "BlockSpec",
     "CACHE_SALT",
     "CACHE_SCHEMA_VERSION",
     "CacheStats",
@@ -115,13 +107,11 @@ __all__ = [
     "control_results_from",
     "deserialize_network",
     "get_stage",
-    "group_blocks",
     "iter_windows",
     "parse_plan",
     "prediction_from_outcome",
     "predictions_from",
     "register_stage",
-    "run_batch",
     "serialize_network",
     "stage_cache_keys",
     "streaming_fraction_below",

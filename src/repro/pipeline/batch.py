@@ -12,7 +12,7 @@ from ..core import TracePrediction
 from ..errors import SpecError
 from ..power import PowerSupplyNetwork
 from ..workloads import SPEC2000, SPEC_FP, SPEC_INT
-from .executor import BatchResult, JobOutcome, RetryPolicy
+from .executor import BatchResult, JobOutcome
 from .spec import DEFAULT_STAGES, SCENARIO_STAGES, STORE_STAGES, JobSpec
 from .stages import control_result_from_artifact
 
@@ -22,7 +22,6 @@ __all__ = [
     "build_control_jobs",
     "build_scenario_jobs",
     "build_store_jobs",
-    "run_batch",
     "prediction_from_outcome",
     "predictions_from",
     "control_results_from",
@@ -150,7 +149,7 @@ def build_scenario_jobs(
     — unknown names raise a structured :class:`SpecError` listing the
     valid ones).  Each job carries the scenario's canonical JSON in
     ``params["scenario"]``; the ``scenario`` stage compiles it and the
-    rest of the chain (voltage, characterize, caching, blocks, obs)
+    rest of the chain (voltage, characterize, caching, obs)
     runs unchanged.  ``cycles=None`` uses each scenario's own default.
     """
     from ..scenarios import resolve_scenario, scenario_param
@@ -198,44 +197,6 @@ def build_control_jobs(
         )
         for name in names
     ]
-
-
-def run_batch(
-    specs,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    progress=None,
-    raise_on_error: bool = True,
-    policy: RetryPolicy | None = None,
-    resume: bool = False,
-) -> BatchResult:
-    """Deprecated: use :func:`repro.pipeline.submit` with
-    :class:`~repro.pipeline.BatchOptions`.
-
-    Thin shim kept for callers of the old kwarg surface; behaves
-    identically to ``submit(specs, BatchOptions(...))``.
-    """
-    import warnings
-
-    from .submit import BatchOptions, submit
-
-    warnings.warn(
-        "run_batch() is deprecated; use "
-        "repro.pipeline.submit(specs, BatchOptions(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return submit(
-        specs,
-        BatchOptions(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            raise_on_error=raise_on_error,
-            policy=policy,
-            resume=resume,
-        ),
-        progress=progress,
-    )
 
 
 def prediction_from_outcome(outcome: JobOutcome) -> TracePrediction:

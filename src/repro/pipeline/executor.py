@@ -270,10 +270,6 @@ def execute_job(
     ``attempt`` is threaded through so the fault-injection harness can
     fire on the Nth attempt and error messages carry the retry context.
     """
-    if getattr(spec, "is_block", False):
-        from .blocks import execute_block
-
-        return execute_block(spec, cache, attempt)
     outcome = JobOutcome(spec=spec, pid=os.getpid(), attempts=attempt)
     plan = faults.active_plan()
     snap_before = obs.registry().snapshot() if obs.ENABLED else None
@@ -390,38 +386,13 @@ class PipelineExecutor:
         cache_dir: str | None = None,
         raise_on_error: bool = True,
         policy: RetryPolicy | None = None,
-        block: str = "auto",
-        max_block: int = 32,
     ) -> None:
         if workers < 0:
             workers = multiprocessing.cpu_count()
-        if block not in ("auto", "always", "never"):
-            raise SpecError(
-                f"block must be 'auto', 'always' or 'never', not {block!r}"
-            )
-        if max_block < 2:
-            raise SpecError("max_block must be at least 2")
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.raise_on_error = raise_on_error
         self.policy = policy or RetryPolicy()
-        self.block = block
-        self.max_block = max_block
-
-    def _blocking_enabled(self) -> bool:
-        """Whether compatible jobs fuse into block dispatch units.
-
-        ``"auto"`` follows the kernel backend: block grouping only pays
-        when the fused ``characterize_block`` kernel actually batches,
-        i.e. on the ``batched`` backend.
-        """
-        if self.block == "always":
-            return True
-        if self.block == "never":
-            return False
-        from ..kernels import resolve_backend
-
-        return resolve_backend() == "batched"
 
     # -- resume ----------------------------------------------------------------
 
@@ -452,21 +423,6 @@ class PipelineExecutor:
             # once; inline outcomes already recorded here directly
             if outcome.pid != os.getpid():
                 obs.absorb(outcome.metrics, outcome.obs_records)
-            if getattr(outcome.spec, "is_block", False):
-                # a block container: fan its per-member outcomes back
-                # out so the batch keeps per-trace results and progress
-                members = getattr(outcome, "members", None)
-                if not members:
-                    # supervisor-synthesized timeout/crash failure —
-                    # it never ran, so manufacture per-member failures
-                    from .blocks import synthesize_member_failures
-
-                    members = synthesize_member_failures(outcome)
-                for member_index, member in members:
-                    by_index[member_index] = member
-                    if progress is not None:
-                        progress(member)
-                return
             by_index[index] = outcome
             if progress is not None:
                 progress(outcome)
@@ -498,10 +454,6 @@ class PipelineExecutor:
                         collect(index, outcome)
                     else:
                         remaining.append((index, spec))
-            if len(remaining) > 1 and self._blocking_enabled():
-                from .blocks import group_blocks
-
-                remaining = group_blocks(remaining, self.max_block)
             if remaining:
                 if pool_size <= 1 and not needs_isolation:
                     self._run_inline(remaining, cache, collect)

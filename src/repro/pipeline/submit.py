@@ -1,35 +1,24 @@
 """The single batch-submission entry point: ``submit(specs, options)``.
 
-Every execution knob that used to travel as a growing kwarg list on
-``run_batch`` (and drift between the CLI and ``serve/``) lives on one
-frozen :class:`BatchOptions` value.  Spec *construction* stays with the
-builders (``build_characterization_jobs`` and friends) — they describe
-*what* to compute; :class:`BatchOptions` describes *how hard and where*
-to compute it.
+Every execution knob lives on one frozen :class:`BatchOptions` value,
+so the CLI, ``serve/`` and the library cannot drift apart.  Spec
+*construction* stays with the builders (``build_characterization_jobs``
+and friends) — they describe *what* to compute; :class:`BatchOptions`
+describes *how hard and where* to compute it.
 
-``submit`` also owns the two environment bridges that the CLI used to
-set up by hand:
-
-* ``options.kernels`` (a :class:`~repro.kernels.KernelConfig`) is
-  entered as a context for the run and mirrored into
-  ``REPRO_KERNEL_BACKEND`` so spawn-started pool workers resolve the
-  same backend;
-* ``options.fault_plan`` is mirrored into ``REPRO_FAULT_PLAN`` for the
-  run (workers read the plan from the environment).
-
-Both are restored on exit, so nested/serial submits cannot leak state
-into each other.
+``submit`` also owns the one environment bridge the CLI used to set up
+by hand: ``options.fault_plan`` is mirrored into ``REPRO_FAULT_PLAN``
+for the run (workers read the plan from the environment) and restored
+on exit, so nested/serial submits cannot leak state into each other.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from ..errors import SpecError
-from ..kernels import ENV_VAR as KERNEL_ENV_VAR
-from ..kernels import KernelConfig
 from . import faults
 from .executor import BatchResult, PipelineExecutor, RetryPolicy
 
@@ -48,9 +37,8 @@ class BatchOptions:
         On-disk result cache root, or ``None`` for no cache.
     retries / timeout_s / backoff_s:
         Fault-tolerance shorthand: ``retries`` extra attempts per job,
-        an optional per-dispatch wall-clock budget (a block job's budget
-        covers all its members) and the base backoff delay.  Ignored
-        when an explicit ``policy`` is given.
+        an optional per-job wall-clock budget and the base backoff
+        delay.  Ignored when an explicit ``policy`` is given.
     policy:
         A full :class:`~repro.pipeline.RetryPolicy`, overriding the
         shorthand fields.
@@ -67,13 +55,6 @@ class BatchOptions:
     fault_plan:
         Fault-injection plan (directive string or named plan) exported
         to ``REPRO_FAULT_PLAN`` for the duration of the run.
-    kernels:
-        A :class:`~repro.kernels.KernelConfig` active for the run (and
-        mirrored to the environment for spawned workers).
-    block / max_block:
-        Block-dispatch mode (``"auto"`` fuses compatible characterize
-        jobs when the batched backend is active; ``"always"`` /
-        ``"never"`` force it) and the member cap per block.
     """
 
     jobs: int = 1
@@ -86,18 +67,10 @@ class BatchOptions:
     raise_on_error: bool = True
     store: str | None = None
     fault_plan: str | None = None
-    kernels: KernelConfig | None = None
-    block: str = "auto"
-    max_block: int = 32
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise SpecError("retries must be non-negative")
-        if self.block not in ("auto", "always", "never"):
-            raise SpecError(
-                f"block must be 'auto', 'always' or 'never', "
-                f"not {self.block!r}"
-            )
 
     def retry_policy(self) -> RetryPolicy:
         """The effective policy: explicit ``policy`` wins, else the
@@ -133,8 +106,7 @@ def submit(specs, options: BatchOptions | None = None, *, progress=None) -> Batc
     """Execute ``specs`` under ``options`` — the one way batches run.
 
     ``progress``, if given, receives each per-job
-    :class:`~repro.pipeline.JobOutcome` as it completes (block results
-    are fanned out per member before reaching it).  Every internal
+    :class:`~repro.pipeline.JobOutcome` as it completes.  Every internal
     caller — CLI, ``serve/``, experiments, benches — routes through
     here, so execution behavior cannot drift between entry points.
     """
@@ -144,18 +116,13 @@ def submit(specs, options: BatchOptions | None = None, *, progress=None) -> Batc
         cache_dir=options.cache_dir,
         raise_on_error=options.raise_on_error,
         policy=options.retry_policy(),
-        block=options.block,
-        max_block=options.max_block,
     )
-    with ExitStack() as stack:
-        if options.kernels is not None:
-            stack.enter_context(options.kernels)
-            if options.kernels.backend is not None:
-                stack.enter_context(
-                    _env_var(KERNEL_ENV_VAR, options.kernels.backend)
-                )
-        if options.fault_plan is not None:
-            stack.enter_context(_env_var(faults.ENV_VAR, options.fault_plan))
+    plan_env = (
+        _env_var(faults.ENV_VAR, options.fault_plan)
+        if options.fault_plan is not None
+        else nullcontext()
+    )
+    with plan_env:
         return executor.run(
             specs, progress=progress, resume=options.resume
         )

@@ -5,7 +5,9 @@ degrades badly when a worker dies — this pool is supervised directly:
 
 * each worker is a dedicated :class:`multiprocessing.Process` with its
   own inbox, so the parent always knows *which* job a worker holds and
-  since when;
+  since when, and its own result pipe, so a worker killed mid-write can
+  only break its own channel (a queue shared by every worker stays
+  locked forever when its writer dies holding the lock);
 * the parent's event loop dispatches eligible jobs to idle workers,
   collects results, enforces per-job wall-clock deadlines (a hung worker
   is SIGKILLed and its job requeued), detects dead workers (the job is
@@ -25,7 +27,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from queue import Empty
+from multiprocessing.connection import wait
 
 from ..errors import RetryExhaustedError, StageTimeoutError, WorkerCrashError
 from ..obs import trace as obs
@@ -44,7 +46,7 @@ def _worker_main(
     inbox, results, cache_dir, obs_enabled, profile_interval=0.0
 ) -> None:
     """Worker loop: take ``(index, spec, attempt, trace_ctx)`` until
-    ``None``."""
+    ``None``; each outcome is sent synchronously on ``results``."""
     from . import executor
 
     executor._IN_POOL_WORKER = True
@@ -59,7 +61,7 @@ def _worker_main(
         # (pipeline.job) parents on the supervisor's pipeline.batch span
         obs.set_trace_context(trace_ctx)
         outcome = execute_job(spec, cache, attempt=attempt)
-        results.put((index, attempt, os.getpid(), outcome))
+        results.send((index, attempt, os.getpid(), outcome))
 
 
 class _JobState:
@@ -76,17 +78,18 @@ class _JobState:
 class _Worker:
     """One supervised worker process and its dispatch bookkeeping."""
 
-    __slots__ = ("proc", "inbox", "job_index", "dispatched_at")
+    __slots__ = ("proc", "inbox", "results", "job_index", "dispatched_at")
 
     def __init__(
-        self, ctx, results, cache_dir, obs_enabled, profile_interval=0.0
+        self, ctx, cache_dir, obs_enabled, profile_interval=0.0
     ) -> None:
         self.inbox = ctx.SimpleQueue()
+        self.results, writer = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=_worker_main,
             args=(
                 self.inbox,
-                results,
+                writer,
                 cache_dir,
                 obs_enabled,
                 profile_interval,
@@ -94,6 +97,7 @@ class _Worker:
             daemon=True,
         )
         self.proc.start()
+        writer.close()  # the worker's copy alone keeps the pipe open
         self.job_index: int | None = None
         self.dispatched_at = 0.0
 
@@ -107,6 +111,7 @@ class _Worker:
     def kill(self) -> None:
         self.proc.kill()
         self.proc.join()
+        self.results.close()
 
 
 def run_supervised(
@@ -127,14 +132,13 @@ def run_supervised(
     profiler in every worker at that period.
     """
     ctx = _pool_context()
-    results = ctx.Queue()
     obs_enabled = obs.ENABLED
     jobs = {index: _JobState(spec) for index, spec in indexed_specs}
     ready: list[int] = [index for index, _ in indexed_specs]
     waiting: list[tuple[float, int]] = []  # (eligible_at, index) heap
     open_jobs = len(jobs)
     pool = [
-        _Worker(ctx, results, cache_dir, obs_enabled, profile_interval)
+        _Worker(ctx, cache_dir, obs_enabled, profile_interval)
         for _ in range(workers)
     ]
 
@@ -180,7 +184,7 @@ def run_supervised(
         )
 
     def replace(worker: _Worker) -> _Worker:
-        fresh = _Worker(ctx, results, cache_dir, obs_enabled, profile_interval)
+        fresh = _Worker(ctx, cache_dir, obs_enabled, profile_interval)
         pool[pool.index(worker)] = fresh
         obs.counter_inc(
             "pipeline_worker_respawns_total",
@@ -215,11 +219,15 @@ def run_supervised(
                             worker.dispatched_at + policy.timeout_s - now
                         )
                         timeout = min(timeout, max(left, 0.001))
-            try:
-                index, attempt, pid, outcome = results.get(timeout=timeout)
-            except Empty:
-                pass
-            else:
+            message = None
+            for conn in wait([w.results for w in pool], timeout):
+                try:
+                    message = conn.recv()
+                    break
+                except (EOFError, OSError):
+                    pass  # its worker died: the liveness check requeues
+            if message is not None:
+                index, attempt, pid, outcome = message
                 state = jobs.get(index)
                 worker = next(
                     (w for w in pool if w.proc.pid == pid), None
@@ -288,6 +296,7 @@ def run_supervised(
                 index = worker.job_index
                 exitcode = worker.proc.exitcode
                 worker.proc.join()
+                worker.results.close()
                 fresh = replace(worker)
                 if index is None or jobs[index].done:
                     continue

@@ -27,8 +27,6 @@ def tiny_sizes(monkeypatch):
             "gaussian_n": (1 << 8, 1 << 8),
             "convolver_n": (1 << 8, 1 << 8),
             "monitor_n": (1 << 9, 1 << 9),
-            "block_traces": (2, 2),
-            "block_cycles": (1 << 10, 1 << 10),
             "batch_benchmarks": (2, 2),
             "batch_cycles": (1 << 11, 1 << 11),
             "obs_benchmarks": (2, 2),
@@ -51,14 +49,6 @@ def test_bench_writes_speedup_entry_per_kernel(tiny_sizes, tmp_path):
         batch = payload["end_to_end"]["characterize_batch"]
         assert batch["speedup"] > 0
         assert batch["benchmarks"] == 2
-        char = payload["throughput"]["characterize"]
-        assert char["vectorized_traces_per_s"] > 0
-        assert char["batched_traces_per_s"] > 0
-        assert char["batched_speedup"] > 0
-        assert char["max_abs_diff"] < 1e-12
-        block = payload["throughput"]["pipeline_block"]
-        assert block["per_trace_traces_per_s"] > 0
-        assert block["block_traces_per_s"] > 0
         overhead = payload["obs_overhead"]
         assert overhead["off_s"] > 0 and overhead["stripped_s"] > 0
         assert overhead["overhead_pct"] >= 0
@@ -78,14 +68,7 @@ def test_bench_cli_flags_parse():
 
     args = build_parser().parse_args(["bench", "--quick"])
     assert args.command == "bench" and args.quick
-    args = build_parser().parse_args(
-        ["--kernel-backend", "reference", "bench"]
-    )
-    assert args.kernel_backend == "reference"
-    args = build_parser().parse_args(
-        ["bench", "--kernel-backend", "reference"]
-    )
-    assert args.kernel_backend == "reference"
+    assert not hasattr(args, "kernel_backend")
 
 
 @pytest.mark.slow

@@ -1,24 +1,26 @@
-"""Cross-backend equivalence battery.
+"""Cross-backend equivalence battery and backend resolution.
 
 Every registered kernel runs under both backends over a grid of dtypes
 and lengths — including non-power-of-two and length-1 signals — and the
 vectorized output must match the reference oracle to ``rtol=1e-9``.  A
 kernel registered in only one backend fails loudly here, before any
-numerical comparison.
+numerical comparison.  The last tests pin the three-step backend
+resolution order of :class:`~repro.kernels.KernelConfig`.
 """
+
+import os
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    WaveletVoltageEstimator,
-    WaveletVoltageMonitor,
-    calibrated_supply,
-)
+from repro import kernels
+from repro.core import WaveletVoltageMonitor, calibrated_supply
 from repro.kernels import (
+    KernelConfig,
     available_backends,
     available_kernels,
     get_kernel,
+    resolve_backend,
 )
 from repro.power import impulse_response
 from repro.wavelets import WaveletConvolver
@@ -48,13 +50,6 @@ def convolver(network, monitor):
     )
 
 
-@pytest.fixture(scope="module")
-def estimator(network):
-    # A 4-cycle window keeps characterize_block valid at every grid
-    # length (traces are padded up to one window below).
-    return WaveletVoltageEstimator(network, window=4)
-
-
 def _trace(n: int, dtype, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed * 1000 + n)
     x = rng.normal(40.0, 5.0, n)
@@ -68,7 +63,7 @@ def _dyadic_depth(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _case(name: str, n: int, dtype, monitor, convolver, estimator):
+def _case(name: str, n: int, dtype, monitor, convolver):
     """(args, kwargs) exercising kernel ``name`` at one grid point."""
     x = _trace(n, dtype)
     if name == "wavedec":
@@ -89,12 +84,6 @@ def _case(name: str, n: int, dtype, monitor, convolver, estimator):
         return (convolver, x), {}
     if name == "monitor_estimate_trace":
         return (monitor, x), {}
-    if name == "characterize_block":
-        cycles = max(n, estimator.window)
-        traces = np.stack(
-            [_trace(cycles, dtype, seed=s) for s in range(3)]
-        )
-        return (estimator, traces, 0.97), {}
     raise AssertionError(
         f"no equivalence case for kernel {name!r} — a new kernel must be "
         "added to this battery"
@@ -133,20 +122,19 @@ def test_every_kernel_registered_in_every_backend():
             assert callable(get_kernel(name, backend=backend))
 
 
-def test_every_kernel_has_an_equivalence_case(monitor, convolver, estimator):
+def test_every_kernel_has_an_equivalence_case(monitor, convolver):
     for name in available_kernels():
-        _case(name, 2, np.float64, monitor, convolver, estimator)
+        _case(name, 2, np.float64, monitor, convolver)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n", LENGTHS)
 @pytest.mark.parametrize("name", available_kernels())
-def test_backends_agree(name, n, dtype, monitor, convolver, estimator):
-    args, kwargs = _case(name, n, dtype, monitor, convolver, estimator)
+def test_backends_agree(name, n, dtype, monitor, convolver):
+    args, kwargs = _case(name, n, dtype, monitor, convolver)
     ref = get_kernel(name, backend="reference")(*args, **kwargs)
-    for backend in ("vectorized", "batched"):
-        out = get_kernel(name, backend=backend)(*args, **kwargs)
-        _assert_close(ref, out)
+    vec = get_kernel(name, backend="vectorized")(*args, **kwargs)
+    _assert_close(ref, vec)
 
 
 def test_unknown_kernel_and_backend_raise():
@@ -154,3 +142,61 @@ def test_unknown_kernel_and_backend_raise():
         get_kernel("no_such_kernel")
     with pytest.raises(ValueError, match="unknown backend"):
         get_kernel("wavedec", backend="cuda")
+
+
+# -- backend resolution: explicit > innermost context > default -------------
+
+
+def test_available_backends_are_the_oracle_and_production():
+    assert available_backends() == ("reference", "vectorized")
+    assert kernels.DEFAULT_BACKEND == "vectorized"
+
+
+def test_kernel_config_resolution_order():
+    assert resolve_backend() == kernels.DEFAULT_BACKEND
+    with KernelConfig(backend="reference"):
+        assert resolve_backend() == "reference"  # context beats default
+        with KernelConfig(backend="vectorized"):
+            assert resolve_backend() == "vectorized"  # innermost wins
+        with KernelConfig():
+            assert resolve_backend() == "reference"  # None inherits
+        assert resolve_backend() == "reference"
+    assert resolve_backend() == kernels.DEFAULT_BACKEND  # context popped
+
+
+@pytest.fixture()
+def probe_kernel():
+    """A throwaway kernel whose result names the backend that ran it."""
+    name = "_probe_backend"
+    for backend in available_backends():
+        kernels.register_kernel(name, backend)(lambda b=backend: b)
+    try:
+        yield name
+    finally:
+        kernels._REGISTRY.pop(name, None)
+        kernels._dispatcher.cache_clear()
+
+
+def test_explicit_backend_beats_context(probe_kernel):
+    dynamic = get_kernel(probe_kernel)  # fetched before the context
+    pinned = get_kernel(probe_kernel, backend="vectorized")
+    assert dynamic() == "vectorized"
+    with KernelConfig(backend="reference"):
+        assert resolve_backend(explicit="vectorized") == "vectorized"
+        assert pinned() == "vectorized"
+        assert dynamic() == "reference"  # re-resolved on every call
+    assert dynamic() == "vectorized"
+
+
+def test_kernel_config_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend"):
+        KernelConfig(backend="cuda")
+    with pytest.raises(ValueError, match="unknown backend"):
+        resolve_backend(explicit="cuda")
+
+
+def test_os_env_not_leaked_by_config():
+    before = dict(os.environ)
+    with KernelConfig(backend="reference"):
+        assert dict(os.environ) == before
+    assert dict(os.environ) == before

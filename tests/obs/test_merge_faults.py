@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.obs import trace
-from repro.pipeline import JobSpec, RetryPolicy, run_batch
+from repro.pipeline import BatchOptions, JobSpec, RetryPolicy, submit
 from repro.pipeline import faults
 from repro.pipeline.stages import register_stage
 
@@ -127,9 +127,9 @@ class TestInlineFaultCounters:
 
     def test_raise_then_retry_counts_each_attempt_once(self, plan, enabled):
         plan("t-merge@gzip:raise:1")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip", "mcf"),
-            policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            BatchOptions(policy=RetryPolicy(max_attempts=2, backoff_s=FAST)),
         )
         assert batch.ok
         reg = trace.registry()
@@ -146,10 +146,12 @@ class TestPoolFaultMerge:
 
     def test_kill_and_requeue_counts_jobs_exactly_once(self, plan, enabled):
         plan("t-merge@gzip:kill:1")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip", "mcf"),
-            jobs=2,
-            policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            BatchOptions(
+                jobs=2,
+                policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            ),
         )
         assert batch.ok
         reg = trace.registry()
@@ -174,11 +176,13 @@ class TestPoolFaultMerge:
             "t-merge@vpr:kill:1"
         )
         names = ("gzip", "mcf", "vpr", "gcc")
-        batch = run_batch(
+        batch = submit(
             specs_for(*names),
-            jobs=2,
-            policy=RetryPolicy(
-                max_attempts=3, timeout_s=TIMEOUT_S, backoff_s=FAST
+            BatchOptions(
+                jobs=2,
+                policy=RetryPolicy(
+                    max_attempts=3, timeout_s=TIMEOUT_S, backoff_s=FAST
+                ),
             ),
         )
         assert batch.ok
@@ -200,7 +204,7 @@ class TestPoolFaultMerge:
         ) == 3
 
     def test_peak_rss_survives_the_boundary(self, plan, enabled):
-        batch = run_batch(specs_for("gzip"), jobs=1)
+        batch = submit(specs_for("gzip"), BatchOptions(jobs=1))
         (outcome,) = batch.outcomes
         assert outcome.ok
         # the job span's sampled peak rides back on the outcome; with no
@@ -214,7 +218,7 @@ class TestPoolFaultMerge:
                 JobSpec(name, stages=("t-merge-slow",))
                 for name in ("gzip", "mcf")
             ]
-            batch = run_batch(specs, jobs=2)
+            batch = submit(specs, BatchOptions(jobs=2))
             assert batch.ok
             gauge = trace.registry().gauge("job_peak_rss_bytes", "")
             for outcome in batch.outcomes:

@@ -7,11 +7,12 @@ import pytest
 
 from repro.core import calibrated_supply
 from repro.pipeline import (
+    BatchOptions,
     ResultCache,
     build_characterization_jobs,
     predictions_from,
-    run_batch,
     stage_cache_keys,
+    submit,
 )
 
 CYCLES = 4096
@@ -63,17 +64,17 @@ class TestPrimitives:
 class TestPipelineCaching:
     def test_miss_then_hit(self, tmp_path, net150):
         jobs = one_job(net150)
-        first = run_batch(jobs, cache_dir=tmp_path)
-        second = run_batch(jobs, cache_dir=tmp_path)
+        first = submit(jobs, BatchOptions(cache_dir=tmp_path))
+        second = submit(jobs, BatchOptions(cache_dir=tmp_path))
         assert first.cache_hits == 0
         assert second.cache_hits == second.stage_runs == 3
         assert all(o.ok for o in second.outcomes)
 
     def test_cached_equals_fresh_bit_for_bit(self, tmp_path, net150):
         jobs = one_job(net150)
-        fresh = run_batch(jobs, cache_dir=None)
-        run_batch(jobs, cache_dir=tmp_path)  # populate
-        cached = run_batch(jobs, cache_dir=tmp_path)
+        fresh = submit(jobs, BatchOptions(cache_dir=None))
+        submit(jobs, BatchOptions(cache_dir=tmp_path))  # populate
+        cached = submit(jobs, BatchOptions(cache_dir=tmp_path))
         p_fresh = predictions_from(fresh)["gzip"]
         p_cached = predictions_from(cached)["gzip"]
         assert p_fresh == p_cached  # exact float equality
@@ -86,9 +87,13 @@ class TestPipelineCaching:
         assert char_fresh == char_cached
 
     def test_spec_change_invalidates_downstream_only(self, tmp_path, net150):
-        run_batch(one_job(net150, threshold=0.97), cache_dir=tmp_path)
-        batch = run_batch(
-            one_job(net150, threshold=0.96), cache_dir=tmp_path
+        submit(
+            one_job(net150, threshold=0.97),
+            BatchOptions(cache_dir=tmp_path),
+        )
+        batch = submit(
+            one_job(net150, threshold=0.96),
+            BatchOptions(cache_dir=tmp_path),
         )
         hits = batch.outcomes[0].cache_hits
         assert hits["simulate"] is True  # trace reused
@@ -97,7 +102,7 @@ class TestPipelineCaching:
 
     def test_entries_are_content_addressed_on_disk(self, tmp_path, net150):
         jobs = one_job(net150)
-        run_batch(jobs, cache_dir=tmp_path)
+        submit(jobs, BatchOptions(cache_dir=tmp_path))
         keys = stage_cache_keys(jobs[0])
         cache = ResultCache(tmp_path)
         assert cache.path_for(keys["simulate"], "result").is_file()

@@ -4,13 +4,14 @@ import pytest
 
 from repro.core import calibrated_supply, predict_trace
 from repro.pipeline import (
+    BatchOptions,
     JobSpec,
     PipelineError,
     build_characterization_jobs,
     build_control_jobs,
     control_results_from,
     predictions_from,
-    run_batch,
+    submit,
     suite_names,
 )
 from repro.uarch import simulate_benchmark
@@ -27,7 +28,7 @@ def net150():
 @pytest.fixture(scope="module")
 def batch(net150):
     jobs = build_characterization_jobs(NAMES, net150, cycles=CYCLES)
-    return run_batch(jobs)
+    return submit(jobs)
 
 
 class TestInlineExecution:
@@ -52,7 +53,7 @@ class TestInlineExecution:
     def test_progress_callback_sees_every_job(self, net150):
         jobs = build_characterization_jobs(NAMES, net150, cycles=CYCLES)
         seen = []
-        run_batch(jobs, progress=lambda o: seen.append(o.spec.benchmark))
+        submit(jobs, progress=lambda o: seen.append(o.spec.benchmark))
         assert seen == list(NAMES)
 
 
@@ -60,12 +61,12 @@ class TestErrors:
     def test_failed_job_raises_by_default(self):
         bad = JobSpec("no-such-benchmark", stages=("simulate",))
         with pytest.raises(PipelineError, match="no-such-benchmark"):
-            run_batch([bad])
+            submit([bad])
 
     def test_failures_collected_when_asked(self, net150):
         bad = JobSpec("no-such-benchmark", stages=("simulate",))
         good = build_characterization_jobs(("gzip",), net150, cycles=CYCLES)
-        batch = run_batch([bad] + good, raise_on_error=False)
+        batch = submit([bad] + good, BatchOptions(raise_on_error=False))
         assert not batch.outcomes[0].ok
         assert batch.outcomes[1].ok
         assert len(batch.errors) == 1
@@ -77,7 +78,7 @@ class TestControlJobs:
             ("vpr",), net150, scheme="wavelet", cycles=3000,
             terms=13, margin=0.012,
         )
-        results = control_results_from(run_batch(jobs))
+        results = control_results_from(submit(jobs))
         assert results[0].name == "vpr"
         assert abs(results[0].slowdown) < 0.1
 
@@ -85,7 +86,7 @@ class TestControlJobs:
         jobs = build_control_jobs(("vpr",), net150, scheme="psychic",
                                   cycles=1024)
         with pytest.raises(PipelineError, match="unknown control scheme"):
-            run_batch(jobs)
+            submit(jobs)
 
 
 class TestSuites:
@@ -104,23 +105,23 @@ class TestWorkerPool:
         jobs = build_characterization_jobs(
             ("gzip", "mcf", "vpr"), net150, cycles=CYCLES
         )
-        serial = predictions_from(run_batch(jobs, jobs=1))
+        serial = predictions_from(submit(jobs, BatchOptions(jobs=1)))
         parallel = predictions_from(
-            run_batch(jobs, jobs=3, cache_dir=tmp_path)
+            submit(jobs, BatchOptions(jobs=3, cache_dir=tmp_path))
         )
         assert serial == parallel
 
     def test_parallel_cache_warm_restart(self, net150, tmp_path):
         jobs = build_characterization_jobs(NAMES, net150, cycles=CYCLES)
-        run_batch(jobs, jobs=2, cache_dir=tmp_path)
-        again = run_batch(jobs, jobs=2, cache_dir=tmp_path)
+        submit(jobs, BatchOptions(jobs=2, cache_dir=tmp_path))
+        again = submit(jobs, BatchOptions(jobs=2, cache_dir=tmp_path))
         assert again.cache_hits == again.stage_runs
 
 
 class TestPartialTelemetryOnFailure:
     def test_failing_stage_still_reports_its_timing(self, net150):
         spec = JobSpec("no-such-benchmark", stages=("simulate",))
-        batch = run_batch([spec], raise_on_error=False)
+        batch = submit([spec], BatchOptions(raise_on_error=False))
         outcome = batch.outcomes[0]
         assert not outcome.ok
         assert outcome.failed_stage == "simulate"
@@ -133,7 +134,7 @@ class TestPartialTelemetryOnFailure:
             "no-such-benchmark",
             stages=("simulate", "voltage", "characterize"),
         )
-        batch = run_batch([spec], raise_on_error=False)
+        batch = submit([spec], BatchOptions(raise_on_error=False))
         outcome = batch.outcomes[0]
         assert outcome.failed_stage == "simulate"
         assert set(outcome.timings) == {"simulate"}
@@ -151,7 +152,7 @@ class TestBatchSummary:
 
     def test_summary_counts_errors(self, net150):
         bad = JobSpec("no-such-benchmark", stages=("simulate",))
-        batch = run_batch([bad], raise_on_error=False)
+        batch = submit([bad], BatchOptions(raise_on_error=False))
         assert batch.summary()["errors"] == 1
 
 
@@ -163,7 +164,7 @@ class TestWorkerPoolObservability:
         jobs = build_characterization_jobs(NAMES, net150, cycles=CYCLES)
         obs.enable("summary")
         try:
-            run_batch(jobs, jobs=2, cache_dir=tmp_path)
+            submit(jobs, BatchOptions(jobs=2, cache_dir=tmp_path))
             counter = obs.registry().counter("pipeline_jobs_total")
             assert counter.value(status="ok") == len(NAMES)
             rows = obs.span_collector().rows()

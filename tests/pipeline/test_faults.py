@@ -14,10 +14,11 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.pipeline import (
+    BatchOptions,
     JobSpec,
     RetryPolicy,
     parse_plan,
-    run_batch,
+    submit,
 )
 from repro.pipeline import faults
 from repro.pipeline.stages import register_stage
@@ -113,9 +114,9 @@ class TestPlanParsing:
 class TestInlineRetry:
     def test_transient_raise_retried_to_success(self, plan):
         plan("t-fault@gzip:raise:1-2")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip"),
-            policy=RetryPolicy(max_attempts=3, backoff_s=FAST),
+            BatchOptions(policy=RetryPolicy(max_attempts=3, backoff_s=FAST)),
         )
         (o,) = batch.outcomes
         assert o.ok
@@ -125,7 +126,7 @@ class TestInlineRetry:
 
     def test_no_retries_without_budget(self, plan):
         plan("t-fault@gzip:raise:1")
-        batch = run_batch(specs_for("gzip"), raise_on_error=False)
+        batch = submit(specs_for("gzip"), BatchOptions(raise_on_error=False))
         (o,) = batch.outcomes
         assert not o.ok
         assert o.attempts == 1
@@ -133,10 +134,12 @@ class TestInlineRetry:
 
     def test_exhausted_budget_degrades_gracefully(self, plan):
         plan("t-fault@gzip:raise:*")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip", "mcf"),
-            raise_on_error=False,
-            policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            BatchOptions(
+                raise_on_error=False,
+                policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            ),
         )
         assert not batch.ok
         assert batch.outcomes[1].ok  # mcf untouched by the gzip fault
@@ -153,15 +156,17 @@ class TestInlineRetry:
     def test_exhausted_budget_raises_pipeline_error(self, plan):
         plan("t-fault@gzip:raise:*")
         with pytest.raises(PipelineError) as err:
-            run_batch(
+            submit(
                 specs_for("gzip"),
-                policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+                BatchOptions(
+                    policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+                ),
             )
         assert err.value.details["failures"][0]["attempts"] == 2
 
     def test_identity_threaded_into_error(self, plan):
         plan("t-fault@gzip:raise:1")
-        batch = run_batch(specs_for("gzip"), raise_on_error=False)
+        batch = submit(specs_for("gzip"), BatchOptions(raise_on_error=False))
         err = batch.outcomes[0].error
         assert "job gzip" in err
         assert "stage 't-fault'" in err
@@ -179,10 +184,12 @@ class TestSupervisedRecovery:
 
     def test_hang_is_killed_and_requeued(self, plan):
         plan("t-fault@gzip:hang(300):1")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip"),
-            policy=RetryPolicy(
-                max_attempts=2, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+            BatchOptions(
+                policy=RetryPolicy(
+                    max_attempts=2, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+                ),
             ),
         )
         (o,) = batch.outcomes
@@ -190,15 +197,35 @@ class TestSupervisedRecovery:
         assert o.attempts == 2
         assert batch.elapsed < 100  # nothing waited for the 300 s hang
 
+    def test_kills_right_after_a_result_never_stall_the_pool(self, plan):
+        # Each kill lands just after the same worker sent a result.  A
+        # result channel shared by all workers stays locked when its
+        # writer dies mid-send, and every later result then times out.
+        names = [n for i in range(10) for n in (f"ok{i}", f"k{i}")]
+        plan(",".join(f"t-fault@k{i}:kill:1" for i in range(10)))
+        batch = submit(
+            specs_for(*names),
+            BatchOptions(
+                raise_on_error=False,
+                policy=RetryPolicy(
+                    max_attempts=2, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+                ),
+            ),
+        )
+        assert batch.ok, batch.describe_failures()
+        assert [o.attempts for o in batch.outcomes] == [1, 2] * 10
+
     def test_hang_exhausts_as_timeout(self, plan):
         # the kill-and-requeue path is covered above; one attempt is
         # enough to pin the timeout classification
         plan("t-fault@gzip:hang(300):*")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip"),
-            raise_on_error=False,
-            policy=RetryPolicy(
-                max_attempts=1, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+            BatchOptions(
+                raise_on_error=False,
+                policy=RetryPolicy(
+                    max_attempts=1, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+                ),
             ),
         )
         (f,) = batch.failure_report()
@@ -209,10 +236,12 @@ class TestSupervisedRecovery:
 
     def test_killed_worker_detected_and_pool_replenished(self, plan):
         plan("t-fault@gzip:kill:1")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip", "mcf"),
-            jobs=2,
-            policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            BatchOptions(
+                jobs=2,
+                policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            ),
         )
         assert batch.ok
         gzip = batch.outcomes[0]
@@ -221,10 +250,12 @@ class TestSupervisedRecovery:
 
     def test_crash_exhausts_as_crash(self, plan):
         plan("t-fault@gzip:kill:*")
-        batch = run_batch(
+        batch = submit(
             specs_for("gzip"),
-            raise_on_error=False,
-            policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            BatchOptions(
+                raise_on_error=False,
+                policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+            ),
         )
         (f,) = batch.failure_report()
         assert f["kind"] == "crash"
@@ -240,11 +271,13 @@ class TestSupervisedRecovery:
             "t-fault@vpr:kill:1"
         )
         names = ("gzip", "mcf", "vpr", "gcc", "eon", "art")
-        batch = run_batch(
+        batch = submit(
             specs_for(*names),
-            jobs=2,
-            policy=RetryPolicy(
-                max_attempts=3, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+            BatchOptions(
+                jobs=2,
+                policy=RetryPolicy(
+                    max_attempts=3, timeout_s=self.TIMEOUT_S, backoff_s=FAST
+                ),
             ),
         )
         assert batch.ok
@@ -262,9 +295,11 @@ class TestSupervisedRecovery:
         plan("t-fault@gzip:kill:1")
         obs.enable("summary")
         try:
-            run_batch(
+            submit(
                 specs_for("gzip"),
-                policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+                BatchOptions(
+                    policy=RetryPolicy(max_attempts=2, backoff_s=FAST),
+                ),
             )
             reg = obs.registry()
             assert reg.counter("pipeline_retries_total").value(
@@ -279,9 +314,10 @@ class TestSupervisedRecovery:
 class TestResume:
     def test_resume_skips_fully_cached_jobs(self, tmp_path):
         cache = str(tmp_path / "cache")
-        run_batch(specs_for("gzip", "mcf"), cache_dir=cache)
-        batch = run_batch(
-            specs_for("gzip", "mcf", "vpr"), cache_dir=cache, resume=True
+        submit(specs_for("gzip", "mcf"), BatchOptions(cache_dir=cache))
+        batch = submit(
+            specs_for("gzip", "mcf", "vpr"),
+            BatchOptions(cache_dir=cache, resume=True),
         )
         assert batch.ok
         assert batch.resumed == 2
@@ -296,19 +332,21 @@ class TestResume:
     ):
         cache = str(tmp_path / "cache")
         monkeypatch.setenv(faults.ENV_VAR, "t-fault@mcf:raise:*")
-        first = run_batch(
-            specs_for("gzip", "mcf"), cache_dir=cache, raise_on_error=False
+        first = submit(
+            specs_for("gzip", "mcf"),
+            BatchOptions(cache_dir=cache, raise_on_error=False),
         )
         assert not first.ok
         monkeypatch.delenv(faults.ENV_VAR)
-        second = run_batch(
-            specs_for("gzip", "mcf"), cache_dir=cache, resume=True
+        second = submit(
+            specs_for("gzip", "mcf"),
+            BatchOptions(cache_dir=cache, resume=True),
         )
         assert second.ok
         assert second.outcomes[0].resumed  # gzip came straight off disk
         assert not second.outcomes[1].resumed  # mcf actually re-ran
 
     def test_resume_without_cache_runs_normally(self):
-        batch = run_batch(specs_for("gzip"), resume=True)
+        batch = submit(specs_for("gzip"), BatchOptions(resume=True))
         assert batch.ok
         assert batch.resumed == 0

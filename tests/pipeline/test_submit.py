@@ -1,24 +1,21 @@
 """``submit`` + ``BatchOptions``: the one execution entry point.
 
-Covers option validation, the shorthand-vs-explicit retry policy, the
-environment bridges (kernel backend and fault plan exported for pool
-workers, restored after), and the ``run_batch`` deprecation shim.
+Covers option validation, the shorthand-vs-explicit retry policy and
+the fault-plan environment bridge (exported for pool workers, restored
+after).
 """
 
 import os
 
 import pytest
 
-from repro import kernels
 from repro.core import calibrated_supply
 from repro.errors import SpecError
-from repro.kernels import KernelConfig
 from repro.pipeline import (
     BatchOptions,
     JobSpec,
     RetryPolicy,
     faults,
-    run_batch,
     submit,
 )
 
@@ -39,7 +36,6 @@ def test_options_defaults_are_inline_uncached():
     options = BatchOptions()
     assert options.jobs == 1
     assert options.cache_dir is None
-    assert options.block == "auto"
     policy = options.retry_policy()
     assert policy.max_attempts == 1
     assert policy.timeout_s is None
@@ -48,8 +44,6 @@ def test_options_defaults_are_inline_uncached():
 def test_options_validation():
     with pytest.raises(SpecError, match="retries"):
         BatchOptions(retries=-1)
-    with pytest.raises(SpecError, match="block"):
-        BatchOptions(block="sometimes")
 
 
 def test_shorthand_builds_policy_and_explicit_wins():
@@ -66,9 +60,9 @@ def test_shorthand_builds_policy_and_explicit_wins():
 
 def test_with_returns_modified_copy():
     base = BatchOptions(jobs=4)
-    changed = base.with_(block="never")
-    assert changed.jobs == 4 and changed.block == "never"
-    assert base.block == "auto"  # frozen original untouched
+    changed = base.with_(resume=True)
+    assert changed.jobs == 4 and changed.resume
+    assert not base.resume  # frozen original untouched
 
 
 def test_submit_runs_and_defaults(network, tmp_path):
@@ -77,24 +71,6 @@ def test_submit_runs_and_defaults(network, tmp_path):
     )
     assert batch.ok and len(batch.outcomes) == 2
     assert submit(_specs(network)).ok  # options=None -> defaults
-
-
-def test_submit_exports_and_restores_kernel_env(network, monkeypatch):
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    seen = {}
-
-    def probe(outcome):
-        seen["env"] = os.environ.get(kernels.ENV_VAR)
-        seen["resolved"] = kernels.resolve_backend()
-
-    submit(
-        _specs(network, names=("gzip",)),
-        BatchOptions(kernels=KernelConfig(backend="reference")),
-        progress=probe,
-    )
-    assert seen == {"env": "reference", "resolved": "reference"}
-    assert kernels.ENV_VAR not in os.environ  # restored
-    assert kernels.resolve_backend() == kernels.DEFAULT_BACKEND
 
 
 def test_submit_exports_and_restores_fault_plan(network, monkeypatch):
@@ -107,15 +83,3 @@ def test_submit_exports_and_restores_fault_plan(network, monkeypatch):
     )
     assert not batch.ok
     assert faults.ENV_VAR not in os.environ  # restored
-
-
-def test_run_batch_is_a_deprecation_shim(network, tmp_path):
-    specs = _specs(network)
-    with pytest.warns(DeprecationWarning, match="run_batch"):
-        batch = run_batch(specs, cache_dir=str(tmp_path))
-    assert batch.ok and len(batch.outcomes) == 2
-    # and the shim's cache is interchangeable with submit's
-    resumed = submit(
-        specs, BatchOptions(cache_dir=str(tmp_path), resume=True)
-    )
-    assert resumed.resumed == len(specs)

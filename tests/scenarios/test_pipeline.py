@@ -1,4 +1,4 @@
-"""Scenario-through-pipeline tests: specs, caching, blocks, serve."""
+"""Scenario-through-pipeline tests: specs, caching, serve."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.pipeline import (
     SCENARIO_STAGES,
     BatchOptions,
     build_scenario_jobs,
-    group_blocks,
     prediction_from_outcome,
     stage_cache_keys,
     submit,
@@ -116,29 +115,6 @@ class TestExecution:
         )
 
 
-class TestBlocks:
-    def test_scenario_jobs_fuse_into_blocks(self, net):
-        specs = jobs_for(net, "burst-train", "memory-storm", "gating-steps")
-        units = group_blocks(list(enumerate(specs)))
-        assert len(units) == 1  # all three stack despite distinct params
-        _, unit = units[0]
-        assert getattr(unit, "is_block", False)
-        assert len(unit.members) == 3
-
-    def test_block_run_matches_per_job(self, net, tmp_path):
-        specs = jobs_for(net, "burst-train", "memory-storm")
-        solo = submit(
-            specs, BatchOptions(jobs=1, cache_dir=None, block="never")
-        )
-        fused = submit(
-            specs, BatchOptions(jobs=1, cache_dir=None, block="always")
-        )
-        for a, b in zip(solo.outcomes, fused.outcomes):
-            assert a.artifacts["characterize"]["estimated"] == pytest.approx(
-                b.artifacts["characterize"]["estimated"], abs=1e-12
-            )
-
-
 class TestServeProtocol:
     def test_scenario_source_parses(self):
         request = parse_request(
@@ -208,9 +184,8 @@ class TestObsSpans:
 
 
 def test_superposed_trace_feeds_batched_kernels(net):
-    # The batched kernel path must accept multi-core superposed traces:
-    # run the fused characterize over quad-core-dvfs under the batched
-    # backend and the reference backend, and agree.
+    # Multi-core superposed traces must characterize the same on the
+    # production backend as on the reference oracle.
     from repro.kernels import KernelConfig
 
     specs = build_scenario_jobs(
@@ -220,15 +195,11 @@ def test_superposed_trace_feeds_batched_kernels(net):
         seed=5,
         warmup_cycles=WARMUP,
     )
-    with KernelConfig(backend="batched"):
-        fused = submit(
-            specs, BatchOptions(jobs=1, cache_dir=None, block="always")
-        )
+    with KernelConfig(backend="vectorized"):
+        vectorized = submit(specs, BatchOptions(jobs=1, cache_dir=None))
     with KernelConfig(backend="reference"):
-        solo = submit(
-            specs, BatchOptions(jobs=1, cache_dir=None, block="never")
-        )
-    for a, b in zip(fused.outcomes, solo.outcomes):
+        reference = submit(specs, BatchOptions(jobs=1, cache_dir=None))
+    for a, b in zip(vectorized.outcomes, reference.outcomes):
         assert a.artifacts["characterize"]["estimated"] == pytest.approx(
             b.artifacts["characterize"]["estimated"], abs=1e-9
         )

@@ -18,13 +18,14 @@ from repro import obs
 from repro.core import calibrated_supply
 from repro.pipeline import (
     CACHE_SCHEMA_VERSION,
+    BatchOptions,
     STORE_STAGES,
     JobSpec,
     build_characterization_jobs,
     build_store_jobs,
     predictions_from,
-    run_batch,
     stage_cache_keys,
+    submit,
     trace_identity,
 )
 from repro.store import TraceStore
@@ -123,10 +124,11 @@ class TestCacheDedupe:
         sim_specs = build_characterization_jobs(
             ("gzip", "mcf"), net150, cycles=CYCLES
         )
-        first = run_batch(sim_specs, cache_dir=cache_dir)
+        first = submit(sim_specs, BatchOptions(cache_dir=cache_dir))
         assert first.cache_hits == 0
-        store_batch = run_batch(
-            build_store_jobs(seeded_store, net150), cache_dir=cache_dir
+        store_batch = submit(
+            build_store_jobs(seeded_store, net150),
+            BatchOptions(cache_dir=cache_dir),
         )
         # voltage + characterize were computed by the simulate batch;
         # only load_trace (a different artifact kind) runs fresh.
@@ -142,12 +144,14 @@ class TestCacheDedupe:
         self, net150, seeded_store
     ):
         sim = predictions_from(
-            run_batch(build_characterization_jobs(
-                ("gzip", "mcf"), net150, cycles=CYCLES
-            ))
+            submit(
+                build_characterization_jobs(
+                    ("gzip", "mcf"), net150, cycles=CYCLES
+                )
+            )
         )
         stored = predictions_from(
-            run_batch(build_store_jobs(seeded_store, net150))
+            submit(build_store_jobs(seeded_store, net150))
         )
         for name in ("gzip", "mcf"):
             assert stored[name].estimated == sim[name].estimated
@@ -169,8 +173,9 @@ class TestZeroCopyPool:
         obs.enable("summary")
         obs.registry().reset()  # isolate from earlier enabled tests
         try:
-            batch = run_batch(
-                build_store_jobs(seeded_store, net150), jobs=2
+            batch = submit(
+                build_store_jobs(seeded_store, net150),
+                BatchOptions(jobs=2),
             )
             assert batch.ok
             pickled = self._counter("pipeline_trace_pickle_bytes_total")
@@ -184,11 +189,11 @@ class TestZeroCopyPool:
         obs.enable("summary")
         obs.registry().reset()
         try:
-            batch = run_batch(
+            batch = submit(
                 build_characterization_jobs(
                     ("gzip", "mcf"), net150, cycles=CYCLES
                 ),
-                jobs=2,
+                BatchOptions(jobs=2),
             )
             assert batch.ok
             assert (
@@ -202,10 +207,16 @@ class TestZeroCopyPool:
         self, net150, seeded_store
     ):
         serial = predictions_from(
-            run_batch(build_store_jobs(seeded_store, net150), jobs=1)
+            submit(
+                build_store_jobs(seeded_store, net150),
+                BatchOptions(jobs=1),
+            )
         )
         pooled = predictions_from(
-            run_batch(build_store_jobs(seeded_store, net150), jobs=2)
+            submit(
+                build_store_jobs(seeded_store, net150),
+                BatchOptions(jobs=2),
+            )
         )
         assert serial == pooled
 
@@ -215,7 +226,7 @@ class TestSpecPlumbing:
         spec = JobSpec.make("gzip", network=net150, cycles=CYCLES,
                             stages=STORE_STAGES)
         with pytest.raises(Exception, match="no trace ref"):
-            run_batch([spec])
+            submit([spec])
 
     def test_build_store_jobs_filters(self, net150, seeded_store):
         only = build_store_jobs(seeded_store, net150,
