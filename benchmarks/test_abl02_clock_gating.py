@@ -11,22 +11,18 @@ all three styles.
 import numpy as np
 
 from repro.power import simulate_voltage
-from repro.uarch import ClockGating, TABLE_1, WattchPowerModel
-from repro.workloads import generate
-from repro.workloads.generator import prewarm_caches
+from repro.uarch import ClockGating, WattchPowerModel
+from repro.uarch.simulator import _run_cycles, _warm_pipeline
 
 CYCLES = 12288
 
 
 def _run_with_gating(gating):
-    from repro.uarch.pipeline import Pipeline
-
-    pipe = Pipeline(TABLE_1, iter(generate("mgrid")),
-                    WattchPowerModel(gating=gating))
-    prewarm_caches(pipe.caches, "mgrid")
-    for _ in range(2048):
-        pipe.tick()
-    return np.array([pipe.tick() for _ in range(CYCLES)])
+    pipe = _warm_pipeline(
+        "mgrid", 2048, power_model=WattchPowerModel(gating=gating)
+    )
+    current, _ = _run_cycles(pipe, CYCLES)
+    return current
 
 
 def _ablation(net):

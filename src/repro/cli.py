@@ -98,6 +98,13 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _obs_options() -> argparse.ArgumentParser:
     """Shared ``--obs`` options, attachable to any subparser.
 
@@ -187,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="simulate one benchmark", parents=[obs_opts]
     )
     sim.add_argument("benchmark", choices=sorted(SPEC2000))
-    sim.add_argument("--cycles", type=int, default=16384)
+    sim.add_argument("--cycles", type=_positive_int, default=16384)
 
     char = sub.add_parser(
         "characterize", help="offline §4 characterization",
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "control", help="closed-loop §5 dI/dt control", parents=[obs_opts]
     )
     ctl.add_argument("benchmark", choices=sorted(SPEC2000))
-    ctl.add_argument("--cycles", type=int, default=12288)
+    ctl.add_argument("--cycles", type=_positive_int, default=12288)
     ctl.add_argument("--impedance", type=float, default=150.0)
     ctl.add_argument("--terms", type=int, default=13,
                      help="wavelet coefficient terms (K)")
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "breakdown", help="per-unit power breakdown", parents=[obs_opts]
     )
     bd.add_argument("benchmark", choices=sorted(SPEC2000))
-    bd.add_argument("--cycles", type=int, default=8192)
+    bd.add_argument("--cycles", type=_positive_int, default=8192)
 
     sz = sub.add_parser(
         "sizing", help="max tolerable target impedance for a workload set",
@@ -976,17 +983,11 @@ def _measure_breakdown(
 ) -> tuple[dict[str, float], float]:
     """Per-unit mean current and total mean current over ``cycles``
     cycles that follow 2048 unmeasured warm-up cycles."""
-    from .uarch import Pipeline, TABLE_1
-    from .workloads import generate
-    from .workloads.generator import prewarm_caches
+    from .uarch.simulator import _run_cycles, _warm_pipeline
 
-    pipe = Pipeline(TABLE_1, iter(generate(benchmark)), track_breakdown=True)
-    prewarm_caches(pipe.caches, benchmark)
-    for _ in range(2048):
-        pipe.tick()
-    pipe.reset_breakdown()
-    total = float(np.mean([pipe.tick() for _ in range(cycles)]))
-    return pipe.power_breakdown, total
+    pipe = _warm_pipeline(benchmark, 2048, track_breakdown=True)
+    current, _ = _run_cycles(pipe, cycles)
+    return pipe.power_breakdown, float(np.mean(current))
 
 
 def _cmd_breakdown(args) -> str:

@@ -131,7 +131,6 @@ class PipelineDampingController:
         self.stall_decisions = 0
         self.boost_decisions = 0
         self.cycles = 0
-        self.false_positives = 0
         self.ops_per_cycle = 2  # one subtract + one compare
 
     def update(self, current: float) -> tuple[bool, int]:

@@ -12,14 +12,14 @@ and false-positive control actions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
 
 from ..obs import trace as obs
 from ..power import PowerSupplyNetwork, StreamingVoltageModel
-from ..uarch import Pipeline, ProcessorConfig, TABLE_1
-from ..workloads.generator import generate, prewarm_caches
+from ..uarch import ProcessorConfig, TABLE_1
+from ..uarch.simulator import _run_cycles, _warm_pipeline
 from ..workloads.spec import WorkloadProfile, get_profile
 
 __all__ = [
@@ -177,72 +177,58 @@ class ControlResult:
         return self.false_positives / total if total else 0.0
 
 
-def _run_pipeline(
-    profile: WorkloadProfile,
-    config: ProcessorConfig,
-    network: PowerSupplyNetwork,
-    controller,
-    target_instructions: int | None,
-    max_cycles: int,
-    warmup_cycles: int,
-    control_band: tuple[float, float] | None,
-) -> tuple[int, int, int, np.ndarray]:
-    """One run; returns (cycles, committed, faults, current_trace)."""
-    pipe = Pipeline(config, iter(generate(profile)))
-    prewarm_caches(pipe.caches, profile)
-    for _ in range(warmup_cycles):
-        pipe.tick()
-    start_committed = pipe.stats.committed
-    truth = StreamingVoltageModel(network)
-    faults = 0
-    false_pos = 0
-    currents = np.empty(max_cycles)
-    n = 0
-    committed = 0
-    last_commit_cycle = 0
-    # hoisted so the per-cycle loop pays one local-bool test when off
-    obs_on = obs.ENABLED
+class _Recorder:
+    """Passes a controller's decisions through, noting each cycle's."""
+
+    def __init__(self, controller) -> None:
+        self._update = controller.update
+        self.intervened: list[bool] = []
+
+    def update(self, current: float) -> tuple[bool, int]:
+        stall, noops = self._update(current)
+        self.intervened.append(bool(stall or noops))
+        return stall, noops
+
+
+def _run(profile, config, warmup_cycles, max_cycles, controller=None, target=math.inf):
+    """One run; returns (cycles to its last commit, committed, current)."""
+    pipe = _warm_pipeline(profile, warmup_cycles, config)
+    start = pipe.cycle
+    current, _ = _run_cycles(pipe, max_cycles, controller, target)
+    # Both runs are scored at the cycle of their final commit, so trailing
+    # stall cycles after the last useful instruction don't skew the
+    # slowdown comparison between runs of identical committed work.
+    return max(pipe.last_commit_cycle + 1 - start, 0), pipe.stats.committed, current
+
+
+def _score(current, network, name, intervened=None, band=(0.0, 0.0)):
+    """(faults, false positives) of one run: the true voltage stepped
+    through its current trace in cycle order.  A false positive is an
+    ``intervened`` cycle whose true voltage lay within ``band``."""
+    step = StreamingVoltageModel(network).step
+    v_min, v_max = network.v_min, network.v_max
+    lo, hi = band
+    flags = repeat(False) if intervened is None else intervened
+    faults = false_pos = 0
     in_emergency = False
-    while n < max_cycles:
-        amps = pipe.tick()
-        currents[n] = amps
-        n += 1
-        v_true = truth.step(amps)
-        if v_true < network.v_min or v_true > network.v_max:
+    for n, (amps, acted) in enumerate(zip(current.tolist(), flags), 1):
+        v_true = step(amps)
+        if v_true < v_min or v_true > v_max:
             faults += 1
-            if obs_on and not in_emergency:
+            if not in_emergency:
                 obs.event(
                     "emergency_onset",
-                    benchmark=profile.name,
+                    benchmark=name,
                     cycle=n,
                     voltage=round(v_true, 6),
-                    controlled=controller is not None,
+                    controlled=intervened is not None,
                 )
             in_emergency = True
         else:
             in_emergency = False
-        if controller is not None:
-            stall, noops = controller.update(amps)
-            if (stall or noops) and control_band is not None:
-                lo, hi = control_band
-                if lo <= v_true <= hi:
-                    false_pos += 1
-            pipe.stall_issue = stall
-            pipe.inject_noops = noops
-        now_committed = pipe.stats.committed - start_committed
-        if now_committed > committed:
-            committed = now_committed
-            last_commit_cycle = n
-        if target_instructions is not None and committed >= target_instructions:
-            break
-        if pipe.drained:
-            break
-    if controller is not None:
-        controller.false_positives = false_pos  # type: ignore[attr-defined]
-    # Both runs are scored at the cycle of their final commit, so trailing
-    # stall cycles after the last useful instruction don't skew the
-    # slowdown comparison between runs of identical committed work.
-    return last_commit_cycle, committed, faults, currents[:n]
+        if acted and lo <= v_true <= hi:
+            false_pos += 1
+    return faults, false_pos
 
 
 def run_control_experiment(
@@ -266,32 +252,28 @@ def run_control_experiment(
     the true voltage was at least that far inside the control band.
     """
     profile = get_profile(benchmark) if isinstance(benchmark, str) else benchmark
-    base_cycles, base_insts, base_faults, _ = _run_pipeline(
-        profile, config, network, None, None, cycles, warmup_cycles, None
-    )
+    base_cycles, base_insts, current = _run(profile, config, warmup_cycles, cycles)
+    base_faults, _ = _score(current, network, profile.name)
     controller = controller_factory()
     band = (
         getattr(controller, "v_low_control", network.v_min) + safety_band,
         getattr(controller, "v_high_control", network.v_max) - safety_band,
     )
+    recorder = _Recorder(controller)
     with obs.span(
         "control.experiment",
         benchmark=profile.name,
         controller=type(controller).__name__,
     ):
-        ctl_cycles, ctl_insts, ctl_faults, _ = _run_pipeline(
-            profile,
-            config,
-            network,
-            controller,
-            base_insts,
-            4 * cycles,
-            warmup_cycles,
-            band,
+        ctl_cycles, _, current = _run(
+            profile, config, warmup_cycles, 4 * cycles, recorder, base_insts
         )
+        ctl_faults, false_pos = _score(
+            current, network, profile.name, recorder.intervened, band
+        )
+    stalls = getattr(controller, "stall_decisions", 0)
+    boosts = getattr(controller, "boost_decisions", 0)
     if obs.ENABLED:
-        stalls = getattr(controller, "stall_decisions", 0)
-        boosts = getattr(controller, "boost_decisions", 0)
         obs.counter_inc(
             "control_stall_actuations_total",
             stalls,
@@ -304,7 +286,7 @@ def run_control_experiment(
         )
         obs.counter_inc(
             "control_false_positives_total",
-            getattr(controller, "false_positives", 0),
+            false_pos,
             "interventions taken while the true voltage was safe",
         )
         obs.gauge_set(
@@ -328,7 +310,7 @@ def run_control_experiment(
         instructions=base_insts,
         baseline_faults=base_faults,
         controlled_faults=ctl_faults,
-        stall_cycles=getattr(controller, "stall_decisions", 0),
-        boost_cycles=getattr(controller, "boost_decisions", 0),
-        false_positives=getattr(controller, "false_positives", 0),
+        stall_cycles=stalls,
+        boost_cycles=boosts,
+        false_positives=false_pos,
     )

@@ -123,6 +123,7 @@ class Pipeline:
         # dI/dt controller hooks (set externally before each tick).
         self.stall_issue = False
         self.inject_noops = 0
+        self.last_commit_cycle = -1  # not a RunStatistics field: those are pinned
 
         # Optional per-unit energy accounting (off by default: hot path).
         self._track_breakdown = track_breakdown
@@ -274,6 +275,7 @@ class Pipeline:
             self._lsq_count -= lsq_freed
             self.activity.committed += committed
             self.stats.committed += committed
+            self.last_commit_cycle = self.cycle
         return ports_left
 
     def _store_writeback(self, addr: int) -> None:

@@ -9,6 +9,7 @@ experiment sweeps from re-simulating the same traces.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
@@ -123,7 +124,8 @@ def _record_run(result: SimulationResult, pipe: Pipeline) -> None:
 
 
 def _run_cycles(
-    pipe: Pipeline, cycles: int, controller: DidtController | None = None
+    pipe: Pipeline, cycles: int, controller: DidtController | None = None,
+    target: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one cycle loop: run ``pipe`` for up to ``cycles`` cycles.
 
@@ -131,7 +133,8 @@ def _run_cycles(
     if the machine drains.  Without a controller, quiescent stretches are
     fast-forwarded (:meth:`Pipeline.fast_forward`) and filled with the idle
     current; a controller observes every cycle, so it gets them all ticked,
-    its decisions applied with a one-cycle delay.
+    its decisions applied with a one-cycle delay.  A controlled run also
+    stops once ``pipe.stats.committed`` reaches ``target``.
     """
     current = np.empty(cycles)
     l2_flag = np.empty(cycles, dtype=bool)
@@ -152,9 +155,26 @@ def _run_cycles(
         n += 1
         if controller is not None:
             pipe.stall_issue, pipe.inject_noops = controller.update(amps)
+            if pipe.stats.committed >= target:
+                break
         if pipe.drained:
             break
     return current[:n], l2_flag[:n]
+
+
+def _warm_pipeline(
+    benchmark: str | WorkloadProfile, warmup_cycles: int,
+    config: ProcessorConfig = TABLE_1, seed: int | None = None, **options,
+) -> Pipeline:
+    """A machine with pre-warmed caches, run ``warmup_cycles`` unrecorded
+    (the SimPoint interval's preamble), its statistics and breakdown then
+    restarted; ``options`` go to :class:`Pipeline`."""
+    pipe = Pipeline(config, iter(generate(benchmark, seed)), **options)
+    prewarm_caches(pipe.caches, benchmark)
+    _run_cycles(pipe, warmup_cycles)
+    pipe.stats = RunStatistics()
+    pipe.reset_breakdown()
+    return pipe
 
 
 class Simulator:
@@ -240,12 +260,7 @@ def simulate_benchmark(
         max_cycles=cycles,
         warmup_cycles=warmup_cycles,
     ) as span:
-        pipe = Pipeline(config, iter(generate(profile, seed)))
-        prewarm_caches(pipe.caches, profile)
-        # Warm-up interval: run the machine without recording, so predictors
-        # train and the pipeline fills (the SimPoint interval's preamble).
-        _run_cycles(pipe, warmup_cycles)
-        pipe.stats = RunStatistics()
+        pipe = _warm_pipeline(profile, warmup_cycles, config, seed)
         current, l2_flag = _run_cycles(pipe, cycles)
         span.set(skipped=pipe.skipped_cycles)
     result = SimulationResult(

@@ -295,6 +295,17 @@ class TestExitCodes:
         assert main(["list"]) == EXIT_INTERNAL
         assert "Traceback" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "control", "breakdown"])
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_non_positive_cycles_are_usage_errors(self, capsys, command, cycles):
+        # rejected while parsing, before any simulation runs
+        with pytest.raises(SystemExit) as exc:
+            main([command, "gzip", "--cycles", cycles])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err
+        assert "Traceback" not in err
+
 
 class TestStoreCommands:
     """The `repro store` group and the store-fed pipeline/bench paths."""

@@ -3,14 +3,16 @@
 A skipping pipeline and a tick-only pipeline run the same workload in
 lock step.  Every skip of ``k`` cycles the first one reports must be ``k``
 cycles in which the second one does nothing at all: zero activity, the
-idle current and an unchanged L2-miss flag.
+idle current and an unchanged L2-miss flag.  Every model runs under the
+default power model; two also run under each clock-gating style, whose
+idle current differs.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.uarch import TABLE_1, Pipeline
+from repro.uarch import TABLE_1, ClockGating, Pipeline, WattchPowerModel
 from repro.uarch.power_model import ActivityCounters
 from repro.workloads import generate, stressmark_stream
 from repro.workloads.generator import prewarm_caches
@@ -23,17 +25,28 @@ def activity(pipe: Pipeline) -> tuple:
     return tuple(getattr(pipe.activity, k) for k in ActivityCounters.__slots__)
 
 
-def machine(name: str) -> Pipeline:
+def machine(name: str, gating: ClockGating | None = None) -> Pipeline:
+    power = None if gating is None else WattchPowerModel(gating=gating)
     if name == "stressmark":
-        return Pipeline(TABLE_1, stressmark_stream(15))
-    pipe = Pipeline(TABLE_1, iter(generate(name)))
+        return Pipeline(TABLE_1, stressmark_stream(15), power)
+    pipe = Pipeline(TABLE_1, iter(generate(name)), power)
     prewarm_caches(pipe.caches, name)
     return pipe
 
 
-@pytest.mark.parametrize("name", [*SPEC2000, "stressmark"])
-def test_skips_are_quiescent_ticks(name):
-    ref, fast = machine(name), machine(name)
+@pytest.mark.parametrize(
+    "name, gating",
+    [
+        *(pytest.param(name, None, id=name) for name in [*SPEC2000, "stressmark"]),
+        *(
+            pytest.param(name, gating, id=f"{name}-{gating.value}")
+            for name in ("mgrid", "mcf")
+            for gating in ClockGating
+        ),
+    ],
+)
+def test_skips_are_quiescent_ticks(name, gating):
+    ref, fast = machine(name, gating), machine(name, gating)
     idle = (0,) * len(ActivityCounters.__slots__)
     n = 0
     while n < CYCLES:
