@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also characterize a named scenario, atomic "
                            "stress profile, or schedule expression (see "
                            "'repro scenario ls'); repeatable")
-    char.add_argument("--cycles", type=int, default=32768)
+    char.add_argument("--cycles", type=_positive_int, default=32768)
     char.add_argument("--impedance", type=float, default=150.0,
                       help="target impedance percent (default 150)")
     char.add_argument("--threshold", type=float, default=0.97)
@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "phases", help="phase-resolved dI/dt exposure", parents=[obs_opts]
     )
     ph.add_argument("benchmark", choices=sorted(SPEC2000))
-    ph.add_argument("--cycles", type=int, default=32768)
-    ph.add_argument("--phases", type=int, default=3)
+    ph.add_argument("--cycles", type=_positive_int, default=32768)
+    ph.add_argument("--phases", type=_positive_int, default=3)
     ph.add_argument("--impedance", type=float, default=150.0)
 
     bd = sub.add_parser(
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_opts],
     )
     sz.add_argument("benchmarks", nargs="+", choices=sorted(SPEC2000))
-    sz.add_argument("--cycles", type=int, default=16384)
+    sz.add_argument("--cycles", type=_positive_int, default=16384)
     sz.add_argument("--budget", type=float, default=0.0,
                     help="allowed fraction of fault cycles (default 0)")
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run the evaluation and print a report",
         parents=[obs_opts],
     )
-    rep.add_argument("--cycles", type=int, default=16384)
+    rep.add_argument("--cycles", type=_positive_int, default=16384)
     rep.add_argument("--full", action="store_true",
                      help="all 26 benchmarks (slow) instead of the quick subset")
     rep.add_argument("--no-control", action="store_true",
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="explicit benchmark list (alternative to --suite)")
     prun.add_argument("--jobs", type=int, default=1,
                       help="worker processes (default 1; -1 = all cores)")
-    prun.add_argument("--cycles", type=int, default=32768)
+    prun.add_argument("--cycles", type=_positive_int, default=32768)
     prun.add_argument("--impedance", type=float, default=150.0)
     prun.add_argument("--threshold", type=float, default=0.97)
     prun.add_argument("--window", type=int, default=256)
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     scrun.add_argument("scenarios", nargs="+", metavar="NAME",
                        help="catalog scenarios, atomic profiles, or "
                             "schedule expressions")
-    scrun.add_argument("--cycles", type=int, default=None,
+    scrun.add_argument("--cycles", type=_positive_int, default=None,
                        help="override each scenario's own cycle count")
     scrun.add_argument("--seed", type=int, default=None)
     scrun.add_argument("--warmup-cycles", type=int, default=512)
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="benchmarks to simulate and store")
     sing.add_argument("--store", default=".trace-store", metavar="DIR",
                       help="store directory (default .trace-store)")
-    sing.add_argument("--cycles", type=int, default=32768)
+    sing.add_argument("--cycles", type=_positive_int, default=32768)
     sing.add_argument("--seed", type=int, default=None)
     sing.add_argument("--warmup-cycles", type=int, default=4096)
     sing.add_argument("--dtype", choices=("float32", "float64"),
@@ -958,7 +958,14 @@ def _cmd_control(args) -> str:
 
 def _cmd_phases(args) -> str:
     from .core import WaveletPhaseClassifier
+    from .core.characterization import WINDOW
 
+    minimum = args.phases * WINDOW
+    if args.cycles < minimum:
+        raise UsageError(
+            f"--cycles must be at least {minimum} for {args.phases} phases "
+            f"(one {WINDOW}-cycle window per phase), got {args.cycles}"
+        )
     net = calibrated_supply(args.impedance)
     result = simulate_benchmark(args.benchmark, cycles=args.cycles)
     clf = WaveletPhaseClassifier(phases=args.phases).fit(result.current)
@@ -1004,7 +1011,13 @@ def _cmd_breakdown(args) -> str:
 
 def _cmd_sizing(args) -> str:
     from .power import max_tolerable_impedance
+    from .power.sizing import SETTLE
 
+    if args.cycles <= SETTLE:
+        raise UsageError(
+            f"--cycles must be at least {SETTLE + 1}: the first {SETTLE} "
+            f"cycles are the supply's settle window, got {args.cycles}"
+        )
     base = calibrated_supply(100)
     traces = {
         name: simulate_benchmark(name, cycles=args.cycles).current

@@ -13,6 +13,7 @@ and false-positive control actions.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -190,9 +191,9 @@ class _Recorder:
         return stall, noops
 
 
-def _run(profile, config, warmup_cycles, max_cycles, controller=None, target=math.inf):
-    """One run; returns (cycles to its last commit, committed, current)."""
-    pipe = _warm_pipeline(profile, warmup_cycles, config)
+def _run(pipe, max_cycles, controller=None, target=math.inf):
+    """Run a warmed ``pipe``; returns (cycles to its last commit,
+    committed, current)."""
     start = pipe.cycle
     current, _ = _run_cycles(pipe, max_cycles, controller, target)
     # Both runs are scored at the cycle of their final commit, so trailing
@@ -244,7 +245,8 @@ def run_control_experiment(
 
     Runs uncontrolled for ``cycles`` to fix the work unit (committed
     instructions), then re-runs under control until the same work
-    completes (bounded at 4x the cycles).  ``controller_factory()`` must
+    completes (bounded at 4x the cycles).  The machine is warmed up once
+    and forked, so both runs start from the same state.  ``controller_factory()`` must
     build a fresh controller, e.g.
     ``lambda: ThresholdController(WaveletVoltageMonitor(net, 13), net)``.
 
@@ -252,24 +254,34 @@ def run_control_experiment(
     the true voltage was at least that far inside the control band.
     """
     profile = get_profile(benchmark) if isinstance(benchmark, str) else benchmark
-    base_cycles, base_insts, current = _run(profile, config, warmup_cycles, cycles)
-    base_faults, _ = _score(current, network, profile.name)
-    controller = controller_factory()
-    band = (
-        getattr(controller, "v_low_control", network.v_min) + safety_band,
-        getattr(controller, "v_high_control", network.v_max) - safety_band,
-    )
-    recorder = _Recorder(controller)
-    with obs.span(
-        "control.experiment",
-        benchmark=profile.name,
-        controller=type(controller).__name__,
-    ):
-        ctl_cycles, _, current = _run(
-            profile, config, warmup_cycles, 4 * cycles, recorder, base_insts
+    with obs.span("control.experiment", benchmark=profile.name) as span:
+        t0 = time.perf_counter()
+        # One warm-up serves both runs: the controlled run starts from an
+        # exact copy of the machine the free-running one starts from.
+        pipe = _warm_pipeline(profile, warmup_cycles, config)
+        t1 = time.perf_counter()
+        twin = pipe.fork()
+        t2 = time.perf_counter()
+        base_cycles, base_insts, current = _run(pipe, cycles)
+        base_faults, _ = _score(current, network, profile.name)
+        del pipe  # the controlled run needs only its twin
+        t3 = time.perf_counter()
+        controller = controller_factory()
+        band = (
+            getattr(controller, "v_low_control", network.v_min) + safety_band,
+            getattr(controller, "v_high_control", network.v_max) - safety_band,
         )
+        recorder = _Recorder(controller)
+        ctl_cycles, _, current = _run(twin, 4 * cycles, recorder, base_insts)
         ctl_faults, false_pos = _score(
             current, network, profile.name, recorder.intervened, band
+        )
+        span.set(
+            controller=type(controller).__name__,
+            warmup_s=t1 - t0,
+            fork_s=t2 - t1,
+            baseline_s=t3 - t2,
+            controlled_s=time.perf_counter() - t3,
         )
     stalls = getattr(controller, "stall_decisions", 0)
     boosts = getattr(controller, "boost_decisions", 0)

@@ -22,12 +22,15 @@ from .simulate import ConvolutionVoltageSimulator
 
 __all__ = ["exposure_at", "max_tolerable_impedance"]
 
+#: Leading cycles left out of every exposure while the supply settles.
+SETTLE = 1024
+
 
 def exposure_at(
     network: PowerSupplyNetwork,
     traces: dict[str, np.ndarray],
     threshold: float | None = None,
-    settle: int = 1024,
+    settle: int = SETTLE,
 ) -> dict[str, float]:
     """Fraction of cycles outside the limit, per trace, at one impedance.
 
@@ -53,7 +56,7 @@ def max_tolerable_impedance(
     lo: float = 50.0,
     hi: float = 400.0,
     tolerance: float = 1.0,
-    settle: int = 1024,
+    settle: int = SETTLE,
 ) -> float:
     """Largest impedance percentage keeping every trace within budget.
 

@@ -8,6 +8,7 @@ service level to correlate voltage behaviour with L2 misses (§4.3).
 
 from __future__ import annotations
 
+import copy
 from enum import IntEnum
 
 from .config import CacheConfig, ProcessorConfig
@@ -112,6 +113,13 @@ class Cache:
                         unfilled -= 1
                         if not unfilled:
                             return
+
+    def __deepcopy__(self, memo) -> Cache:
+        # The config is frozen and tags are ints, so copying each set's tag
+        # list copies the cache (a generic deep copy walks every tag).
+        twin = copy.copy(self)
+        twin._sets = [tags[:] for tags in self._sets]
+        return twin
 
     def flush(self) -> None:
         """Invalidate all lines (counters are preserved)."""

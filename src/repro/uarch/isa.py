@@ -67,6 +67,11 @@ class Instruction:
 
     ``is_mem`` (occupies an LSQ slot) and ``is_branch`` (consults the
     branch predictor) are derived from ``op`` once, at construction.
+
+    The pipeline never writes an ``Instruction``: it only reads one, and
+    keeps its own per-flight state in its RUU entries.  So one object may
+    stand for every dynamic instance of a static instruction, and a stream
+    may yield the same object on every trip of a loop.
     """
 
     __slots__ = (
@@ -105,6 +110,9 @@ class Instruction:
         self.is_return = is_return
         self.is_mem = op in MEM_OPS
         self.is_branch = op is OpClass.BRANCH
+
+    def __deepcopy__(self, memo) -> Instruction:
+        return self  # never written (see above), so a copy may share it
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,6 +20,7 @@ same idle current, which the driver writes out without ticking.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Iterator
 
@@ -213,6 +214,17 @@ class Pipeline:
         self.stats.cycles = end
         self.skipped_cycles += skipped
         return skipped
+
+    def fork(self) -> Pipeline:
+        """An independent copy of this machine, stream included, as it is now.
+
+        The two share no mutable state: from here they run cycle for cycle
+        alike under the same inputs, and neither sees the other's progress.
+        The stream must be deep-copyable, as
+        :class:`~repro.workloads.generator.InstructionGenerator` is (a Python
+        generator is not).
+        """
+        return copy.deepcopy(self)
 
     @property
     def power_breakdown(self) -> dict[str, float]:

@@ -61,6 +61,9 @@ _COLD_BASE = 0x4000_0000
 # Memory-region tags used by body templates.
 _HOT, _WARM, _COLD = 0, 1, 2
 
+# Slots whose address or outcome differs from trip to trip.
+_PER_TRIP = (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH)
+
 
 @dataclass(frozen=True)
 class _Slot:
@@ -74,6 +77,9 @@ class _Slot:
     pattern_period: int = 0  # >0: periodic branch (taken every Nth time)
     target_offset: int = 0  # taken-branch displacement (instructions)
 
+    def __deepcopy__(self, memo) -> _Slot:
+        return self  # frozen: a copied stream may share its templates
+
 
 def _resolve_rng(
     profile: WorkloadProfile,
@@ -86,7 +92,18 @@ def _resolve_rng(
 
 
 class InstructionGenerator:
-    """Iterator of dynamic instructions for one workload profile."""
+    """Iterator of dynamic instructions for one workload profile.
+
+    The stream is an explicit state machine (the current loop region, its
+    trip and the next body slot), not a Python generator, so a stream can
+    be deep-copied mid-flight: ``copy.deepcopy`` takes the RNG state with
+    it, and the copy yields exactly the instructions the original would.
+
+    When a region is built, the :class:`Instruction` of each of its ALU,
+    multiply, divide and FP slots is built once and yielded again on every
+    trip (the pipeline never writes an instruction).  Loads, stores and
+    branches are instantiated per trip: their address or outcome varies.
+    """
 
     def __init__(
         self,
@@ -102,6 +119,25 @@ class InstructionGenerator:
         self._hot_slots = max(1, profile.hot_bytes // 8)
         self._warm_limit = _WARM_BASE + profile.warm_bytes
         self._branch_counters: dict[int, int] = {}
+        self._code_slots = max(64, profile.code_bytes // 4)
+        # Benchmarks whose phases are all shorter than a loop region are
+        # loop-nest codes (mgrid-style): the burst/stall alternation lives
+        # *inside* one loop body, so the body is a composite of all phase
+        # segments and repeats coherently — that is what concentrates
+        # current energy at the loop period (the resonance pump).
+        self._composite = all(ph.duration <= 256 for ph in profile.phases)
+        # The current loop region.  ``_phase`` is the phase its body was
+        # drawn from (None for a composite body, which no phase change
+        # interrupts); ``_prebuilt[k]`` is slot k's reused instruction, or
+        # None when it is instantiated per trip; ``_k`` is the next slot,
+        # ``len(_body)`` the back-edge and -1 "build a new region".
+        self._phase: PhaseSpec | None = None
+        self._body: list[_Slot] = []
+        self._prebuilt: list[Instruction | None] = []
+        self._loop_start = 0
+        self._trips = 0
+        self._trip = 0
+        self._k = -1
 
     # -- template construction -------------------------------------------------
 
@@ -204,14 +240,7 @@ class InstructionGenerator:
         return _HOT_BASE + 8 * int(self._rng.integers(0, self._hot_slots))
 
     def _instantiate(self, slot: _Slot, pc: int) -> Instruction:
-        if slot.op in (OpClass.LOAD, OpClass.STORE):
-            return Instruction(
-                slot.op,
-                pc=pc,
-                src1_dist=slot.src1,
-                src2_dist=slot.src2,
-                addr=self._address_for(slot.mem_region),
-            )
+        """One trip's instance of a load, store or branch slot."""
         if slot.op is OpClass.BRANCH:
             if slot.pattern_period:
                 count = self._branch_counters.get(pc, 0)
@@ -227,55 +256,29 @@ class InstructionGenerator:
                 taken=taken,
             )
         return Instruction(
-            slot.op, pc=pc, src1_dist=slot.src1, src2_dist=slot.src2
+            slot.op,
+            pc=pc,
+            src1_dist=slot.src1,
+            src2_dist=slot.src2,
+            addr=self._address_for(slot.mem_region),
         )
 
     # -- stream ---------------------------------------------------------------
 
-    def __iter__(self) -> Iterator[Instruction]:
-        return self._generate()
-
-    def _generate(self) -> Iterator[Instruction]:
-        # Benchmarks whose phases are all shorter than a loop region are
-        # loop-nest codes (mgrid-style): the burst/stall alternation lives
-        # *inside* one loop body, so the body is a composite of all phase
-        # segments and repeats coherently — that is what concentrates
-        # current energy at the loop period (the resonance pump).
-        if all(ph.duration <= 256 for ph in self.profile.phases):
-            yield from self._generate_composite()
-        else:
-            yield from self._generate_phased()
-
-    def _generate_composite(self) -> Iterator[Instruction]:
+    def _enter_region(self) -> None:
+        """Draw the next loop region: its body, placement and trip count."""
         prof = self.profile
         rng = self._rng
-        code_slots = max(64, prof.code_bytes // 4)
-        while True:
+        if self._composite:
             body: list[_Slot] = []
             for ph in prof.phases:
                 body.extend(self._build_segment(ph, max(1, int(ph.duration))))
             loop_start = _CODE_BASE + 4 * int(
-                rng.integers(0, max(1, code_slots - len(body) - 1))
+                rng.integers(0, max(1, self._code_slots - len(body) - 1))
             )
-            back_pc = loop_start + 4 * len(body)
             trips = int(rng.geometric(1.0 / 192.0))
-            for trip in range(trips):
-                for k, slot in enumerate(body):
-                    yield self._instantiate(slot, loop_start + 4 * k)
-                yield Instruction(
-                    OpClass.BRANCH,
-                    pc=back_pc,
-                    src1_dist=0,
-                    addr=loop_start,
-                    taken=trip != trips - 1,
-                )
-
-    def _generate_phased(self) -> Iterator[Instruction]:
-        prof = self.profile
-        rng = self._rng
-        code_slots = max(64, prof.code_bytes // 4)
-        while True:
-            phase = self._phases.current
+        else:
+            self._phase = phase = self._phases.current
             body = self._build_body(phase)
             if rng.random() < prof.cold_code:
                 # Excursion into never-before-seen code: I-cache misses.
@@ -284,26 +287,60 @@ class InstructionGenerator:
                 trips = int(rng.integers(1, 4))
             else:
                 loop_start = _CODE_BASE + 4 * int(
-                    rng.integers(0, code_slots - len(body) - 1)
+                    rng.integers(0, self._code_slots - len(body) - 1)
                 )
                 trips = int(rng.geometric(1.0 / 128.0))
-            back_pc = loop_start + 4 * len(body)
-            for trip in range(trips):
-                for k, slot in enumerate(body):
-                    self._phases.advance()
-                    yield self._instantiate(slot, loop_start + 4 * k)
-                last = trip == trips - 1
-                # Loop back-edge: tests an induction variable that is long
-                # since computed, so it carries no in-flight dependence.
-                yield Instruction(
-                    OpClass.BRANCH,
-                    pc=back_pc,
-                    src1_dist=0,
-                    addr=loop_start,
-                    taken=not last,
-                )
-                if self._phases.current is not phase:
-                    break  # the program moved to a new phase
+        self._body = body
+        self._prebuilt = [
+            None
+            if slot.op in _PER_TRIP
+            else Instruction(
+                slot.op,
+                pc=loop_start + 4 * k,
+                src1_dist=slot.src1,
+                src2_dist=slot.src2,
+            )
+            for k, slot in enumerate(body)
+        ]
+        self._loop_start = loop_start
+        self._trips = trips
+        self._trip = 0
+        self._k = 0
+
+    def __iter__(self) -> InstructionGenerator:
+        return self
+
+    def __next__(self) -> Instruction:
+        k = self._k
+        if k < 0:
+            self._enter_region()
+            k = 0
+        if k < len(self._body):
+            self._k = k + 1
+            if self._phase is not None:
+                self._phases.advance()
+            inst = self._prebuilt[k]
+            if inst is None:
+                inst = self._instantiate(self._body[k], self._loop_start + 4 * k)
+            return inst
+        self._trip += 1
+        last = self._trip == self._trips
+        if last or (
+            self._phase is not None and self._phases.current is not self._phase
+        ):
+            self._k = -1  # the loop ends, or the program moved to a new phase
+        else:
+            self._k = 0
+        # Loop back-edge: tests an induction variable that is long since
+        # computed, so it carries no in-flight dependence.  It reads taken
+        # unless this was the last trip, even when a phase change ends it.
+        return Instruction(
+            OpClass.BRANCH,
+            pc=self._loop_start + 4 * len(self._body),
+            src1_dist=0,
+            addr=self._loop_start,
+            taken=not last,
+        )
 
 
 def prewarm_caches(hierarchy, profile: WorkloadProfile | str) -> None:

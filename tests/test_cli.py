@@ -306,6 +306,45 @@ class TestExitCodes:
         assert "must be a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "gzip"],
+            ["phases", "gzip"],
+            ["sizing", "gzip"],
+            ["report"],
+            ["pipeline", "run", "--benchmarks", "gzip", "--no-cache"],
+            ["store", "ingest", "gzip"],
+            ["scenario", "run", "gzip"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_every_cycles_option_rejects_non_positive(self, capsys, argv, cycles):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cycles", cycles])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, minimum",
+        [
+            (["phases", "gzip"], "768"),  # 3 phases of a 256-cycle window
+            (["phases", "gzip", "--phases", "5"], "1280"),
+            (["sizing", "gzip"], "1025"),  # past the 1024-cycle settle
+        ],
+        ids=["phases", "phases-5", "sizing"],
+    )
+    @pytest.mark.parametrize("cycles", ["64", "767"])
+    def test_too_few_cycles_name_the_minimum(self, capsys, argv, minimum, cycles):
+        # rejected before any simulation runs
+        assert main([*argv, "--cycles", cycles]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"at least {minimum}" in err
+        assert "Traceback" not in err
+
 
 class TestStoreCommands:
     """The `repro store` group and the store-fed pipeline/bench paths."""

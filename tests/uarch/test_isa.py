@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.uarch import Instruction, OpClass
+from repro.uarch import TABLE_1, Instruction, OpClass, Pipeline
 from repro.uarch.isa import FU_LATENCY_FIELD, MEM_OPS
+from repro.workloads import generate
+from repro.workloads.generator import prewarm_caches
 
 
 class TestInstruction:
@@ -42,3 +44,31 @@ class TestInstruction:
         inst = Instruction(OpClass.IALU)
         with pytest.raises(AttributeError):
             inst.srcl_dist = 3  # typo'd attribute must not silently stick
+
+
+class TestInstructionsAreReadOnly:
+    """The pipeline never writes an ``Instruction``, so a stream may yield
+    one object on every trip of a loop."""
+
+    @pytest.mark.parametrize("name", ["mgrid", "gzip", "mcf"])
+    def test_prebuilt_instructions_survive_a_run(self, name):
+        gen = generate(name)
+        snapshots = []
+        enter = gen._enter_region
+
+        def recording_enter():
+            enter()
+            snapshots.extend(
+                (inst, [getattr(inst, s) for s in Instruction.__slots__])
+                for inst in gen._prebuilt
+                if inst is not None
+            )
+
+        gen._enter_region = recording_enter
+        pipe = Pipeline(TABLE_1, gen)
+        prewarm_caches(pipe.caches, name)
+        for _ in range(4096):
+            pipe.tick()
+        assert snapshots and pipe.stats.committed
+        for inst, before in snapshots:
+            assert [getattr(inst, s) for s in Instruction.__slots__] == before
