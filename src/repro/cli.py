@@ -18,9 +18,6 @@ Four commands cover the repo's main flows:
 * ``breakdown`` — Wattch-style per-unit power breakdown of a benchmark.
 * ``sizing`` — the largest target impedance a workload set tolerates.
 * ``report`` — the whole evaluation as one text report.
-* ``bench`` — time every reference/vectorized kernel pair and write
-  ``BENCH_kernels.json`` (see ``docs/KERNELS.md``); ``bench --store``
-  times the trace store instead (``BENCH_store.json``).
 * ``store`` — the zero-copy trace store (``docs/STORE.md``): ``ingest``
   benchmarks or external files into a corpus, ``ls`` it, ``verify``
   integrity, ``gc`` reclaimable bytes; ``pipeline run --store DIR``
@@ -36,8 +33,8 @@ Four commands cover the repo's main flows:
   writes) the actual bound address, so nothing ever races on a fixed
   port.
 * ``loadgen`` — deterministic constant/Poisson/burst load against a
-  live server; writes ``BENCH_serve.json`` (requests/sec, p50/p99
-  latency, cache-hit ratio) for the benchtrack compare gate.
+  live server; prints (and ``--output`` writes as JSON) requests/sec,
+  p50/p99 latency and the cache-hit ratio.
 
 Every command accepts the global ``--obs {off,summary,jsonl,prom,chrome}``
 flag (before or after the subcommand) selecting the telemetry exporter,
@@ -103,6 +100,30 @@ def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return int(text)
+
+
+def _window(text: str) -> int:
+    """argparse type: a characterization window the §4 estimator accepts."""
+    from .core.characterization import _levels_for_window
+
+    window = int(text)
+    try:
+        _levels_for_window(window)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
+    return window
+
+
+def _require_one_window(specs) -> None:
+    """Refuse, before any simulation, a job whose trace would be shorter
+    than its characterization window: a usage error, not a job failure."""
+    for spec in specs:
+        if spec.cycles < spec.window:
+            raise UsageError(
+                f"{spec.benchmark} would run {spec.cycles} cycles, fewer "
+                f"than one {spec.window}-cycle characterization window; "
+                f"--cycles must be at least {spec.window}"
+            )
 
 
 def _obs_options() -> argparse.ArgumentParser:
@@ -269,29 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--no-control", action="store_true",
                      help="skip the closed-loop Table-2 section")
 
-    bench = sub.add_parser(
-        "bench",
-        help="time reference vs vectorized kernels, write BENCH_kernels.json",
-        parents=[obs_opts],
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-smoke sizes (seconds instead of minutes)")
-    bench.add_argument("--output", default=None,
-                       help="result JSON path (default BENCH_kernels.json; "
-                            "'-' to skip writing)")
-    bench.add_argument("--store", action="store_true",
-                       help="bench the trace store instead of the kernels: "
-                            "ingest/scan GB/s and characterize-from-store "
-                            "vs regenerate (writes BENCH_store.json)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="diff the fresh results against this committed "
-                            "baseline JSON; exit 1 on regression (see "
-                            "tools/bench_compare.py)")
-    bench.add_argument("--compare-threshold", type=float, default=None,
-                       metavar="FRACTION",
-                       help="relative regression threshold for --compare "
-                            "(default 0.25)")
-
     pipe = sub.add_parser(
         "pipeline", help="parallel batch characterization with result cache"
     )
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument("--cycles", type=_positive_int, default=32768)
     prun.add_argument("--impedance", type=float, default=150.0)
     prun.add_argument("--threshold", type=float, default=0.97)
-    prun.add_argument("--window", type=int, default=256)
+    prun.add_argument("--window", type=_window, default=256)
     prun.add_argument("--seed", type=int, default=None)
     prun.add_argument("--cache-dir", default=".repro-cache",
                       help="result cache directory (default .repro-cache)")
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     scrun.add_argument("--warmup-cycles", type=int, default=512)
     scrun.add_argument("--impedance", type=float, default=150.0)
     scrun.add_argument("--threshold", type=float, default=0.97)
-    scrun.add_argument("--window", type=int, default=256)
+    scrun.add_argument("--window", type=_window, default=256)
     scrun.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1; -1 = all cores)")
     scrun.add_argument("--cache-dir", default=None,
@@ -531,17 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 2048)")
     loadgen.add_argument("--quick", action="store_true",
                          help="CI-smoke sizes (8 requests, small "
-                              "cycles); marks the bench doc quick")
-    loadgen.add_argument("--output", default="BENCH_serve.json",
-                         help="bench JSON path (default BENCH_serve."
-                              "json; '-' to skip writing)")
-    loadgen.add_argument("--compare", default=None, metavar="BASELINE",
-                         help="diff against this committed baseline; "
-                              "exit 1 on regression")
-    loadgen.add_argument("--compare-threshold", type=float, default=None,
-                         metavar="FRACTION",
-                         help="relative regression threshold for "
-                              "--compare (default 0.25)")
+                              "cycles); marks the summary quick")
+    loadgen.add_argument("--output", default=None, metavar="PATH",
+                         help="also write the summary as JSON to PATH")
     return parser
 
 
@@ -610,6 +600,7 @@ def _cmd_characterize(args) -> str:
             )
         except SpecError as exc:
             raise UsageError(str(exc)) from None
+    _require_one_window(specs)
     batch = submit(
         specs, BatchOptions(jobs=args.jobs, cache_dir=args.cache_dir)
     )
@@ -740,6 +731,7 @@ def _cmd_pipeline_run(args) -> int:
             seed=args.seed,
             impedance=args.impedance,
         )
+        _require_one_window(specs)
 
     def progress(outcome):
         if not outcome.ok:
@@ -887,6 +879,7 @@ def _cmd_scenario_run(args) -> int:
         )
     except SpecError as exc:
         raise UsageError(str(exc)) from None
+    _require_one_window(specs)
     cache_dir = None if args.no_cache else args.cache_dir
     batch = submit(
         specs,
@@ -1033,59 +1026,6 @@ def _cmd_sizing(args) -> str:
         "(see `repro control` for the closed-loop experiment).",
     ]
     return "\n".join(lines)
-
-
-def _cmd_bench(args) -> int:
-    if args.store:
-        from .store.bench import (
-            DEFAULT_STORE_OUTPUT,
-            format_store_results,
-            run_store_bench,
-        )
-
-        output = args.output or DEFAULT_STORE_OUTPUT
-        results = run_store_bench(
-            quick=args.quick, output=None if output == "-" else output
-        )
-        text = format_store_results(results)
-    else:
-        from .kernels.bench import DEFAULT_OUTPUT, format_results, run_bench
-
-        output = args.output or DEFAULT_OUTPUT
-        results = run_bench(
-            quick=args.quick, output=None if output == "-" else output
-        )
-        text = format_results(results)
-    if output != "-":
-        text += f"\nwrote {output}"
-    print(text)
-    if not args.compare:
-        return EXIT_OK
-
-    import json
-
-    from .benchtrack import (
-        DEFAULT_THRESHOLD,
-        append_history,
-        compare_benchmarks,
-        render_comparison,
-    )
-
-    try:
-        with open(args.compare, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read --compare baseline: {exc}") from None
-    comparison = compare_benchmarks(
-        baseline,
-        results,
-        threshold=args.compare_threshold or DEFAULT_THRESHOLD,
-        baseline_path=args.compare,
-        current_path=output if output != "-" else "<fresh run>",
-    )
-    print(render_comparison(comparison))
-    append_history("BENCH_history.jsonl", comparison)
-    return EXIT_OK if comparison.ok else EXIT_PARTIAL
 
 
 def _cmd_store_ingest(args) -> str:
@@ -1320,7 +1260,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_loadgen(args) -> int:
     import asyncio as _asyncio
-    import json
 
     from .serve import loadgen as lg
 
@@ -1349,7 +1288,7 @@ def _cmd_loadgen(args) -> int:
         ) from None
     doc = lg.summarize(run, quick=args.quick)
     summary = doc["loadgen"]
-    if args.output != "-":
+    if args.output:
         lg.write_bench(doc, args.output)
     print(
         f"loadgen {summary['pattern']} x{summary['requests']} "
@@ -1359,34 +1298,10 @@ def _cmd_loadgen(args) -> int:
         f"p99 {summary['latency_p99_s'] * 1000:.1f} ms, "
         f"cache-hit {summary['cache_hit_ratio'] * 100:.0f}%, "
         f"{summary['rejected']} rejected"
-        + (f"\nwrote {args.output}" if args.output != "-" else "")
+        + (f"\nwrote {args.output}" if args.output else "")
     )
     failed = summary["accepted"] - summary["ok"]
-    if not args.compare:
-        return EXIT_PARTIAL if failed else EXIT_OK
-
-    from .benchtrack import (
-        DEFAULT_THRESHOLD,
-        append_history,
-        compare_benchmarks,
-        render_comparison,
-    )
-
-    try:
-        with open(args.compare, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read --compare baseline: {exc}") from None
-    comparison = compare_benchmarks(
-        baseline,
-        doc,
-        threshold=args.compare_threshold or DEFAULT_THRESHOLD,
-        baseline_path=args.compare,
-        current_path=args.output if args.output != "-" else "<fresh run>",
-    )
-    print(render_comparison(comparison))
-    append_history("BENCH_history.jsonl", comparison)
-    return EXIT_OK if comparison.ok and not failed else EXIT_PARTIAL
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1472,8 +1387,6 @@ def _dispatch(args) -> int:
         print(_cmd_breakdown(args))
     elif args.command == "sizing":
         print(_cmd_sizing(args))
-    elif args.command == "bench":
-        return _cmd_bench(args)
     elif args.command == "pipeline":
         if args.pipeline_command == "run":
             return _cmd_pipeline_run(args)

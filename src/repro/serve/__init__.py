@@ -18,8 +18,7 @@ for the paper's "heavy traffic from millions of users" regime:
   misses batched to the supervised pool, backpressure as explicit
   429/503, graceful drain on SIGTERM;
 * :mod:`~repro.serve.loadgen` — deterministic constant/Poisson/burst
-  load generation (``repro loadgen``) writing ``BENCH_serve.json``
-  for the benchtrack compare gate.
+  load generation (``repro loadgen``) with a JSON run summary.
 
 See ``docs/SERVE.md`` for the protocol and operational semantics.
 """

@@ -20,11 +20,9 @@ with zero pool dispatches.
 
 The module also carries the minimal asyncio HTTP/1.1 client the
 generator (and the test battery) uses: plain requests with
-Content-Length bodies and chunked JSONL event-stream responses.  The
-summary written to ``BENCH_serve.json`` follows the benchtrack naming
-contract — ``requests_per_s`` gates higher-is-better,
-``latency_p50_s``/``latency_p99_s`` gate lower-is-better (with the
-noise floor), counts stay informational.
+Content-Length bodies and chunked JSONL event-stream responses.
+:func:`summarize` turns one run into the JSON summary ``repro loadgen
+--output`` writes.
 """
 
 from __future__ import annotations
@@ -353,12 +351,8 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def summarize(run: dict, *, quick: bool = False) -> dict:
-    """One run record → the ``BENCH_serve.json`` document.
-
-    Leaf names follow the benchtrack direction contract:
-    ``requests_per_s`` gates higher, ``latency_*_s`` gate lower, counts
-    are informational.
-    """
+    """One run record → the summary document ``repro loadgen`` reports:
+    client-side ``loadgen`` numbers and the ``server`` counter deltas."""
     records = run["records"]
     accepted = [r for r in records if r["status"] == 200]
     latencies = [r["latency_s"] for r in accepted]

@@ -27,9 +27,9 @@ Quickstart::
     ref = store.ref(record)           # travels through a JobSpec
 
 See ``docs/STORE.md`` for the on-disk format and recovery semantics,
-``repro store ingest|ls|verify|gc`` for the CLI surface, and
-``repro bench --store`` for the throughput benchmark
-(``BENCH_store.json``).
+and ``repro store ingest|ls|verify|gc`` for the CLI surface; the
+perfbench ``store_rescan`` workload (``perfbench/README.md``) measures
+its read path end to end.
 """
 
 from .format import (
@@ -43,7 +43,6 @@ from .format import (
 from .ref import TraceRef, ref_for
 from .shm import SharedTrace, attach_shared, publish_shared
 from .store import TraceStore, open_store
-from .bench import run_store_bench
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
@@ -59,5 +58,4 @@ __all__ = [
     "open_store",
     "publish_shared",
     "ref_for",
-    "run_store_bench",
 ]

@@ -223,7 +223,7 @@ SPEC2000: dict[str, WorkloadProfile] = {
     ),
     "gcc": _resonant(
         "gcc", "int", fp=0.0, burst=44.0, quiet=4.0,
-        code_bytes=512 * 1024, cold_code=0.02, seed=103,
+        code_bytes=512 * 1024, seed=103,
     ),
     "mcf": _membound("mcf", "int", fp=0.0, cold=0.15, serial_mem=0.6, seed=104),
     "crafty": _steady("crafty", "int", fp=0.0, seed=105),

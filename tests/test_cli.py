@@ -345,9 +345,69 @@ class TestExitCodes:
         assert f"at least {minimum}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "run", "--benchmarks", "gzip", "--no-cache"],
+            ["scenario", "run", "cache-thrash", "--no-cache"],
+        ],
+        ids=["pipeline-run", "scenario-run"],
+    )
+    @pytest.mark.parametrize("window", ["0", "-8", "100", "2"])
+    def test_bad_window_is_rejected_while_parsing(self, capsys, argv, window):
+        # the estimator's own rule (a power of two >= 4), before any
+        # simulation or retry
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cycles", "4096", "--window", window])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "window must be a power of two >= 4" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, window",
+        [
+            (["characterize", "gzip"], "256"),
+            (["characterize", "--scenario", "cache-thrash"], "256"),
+            (["pipeline", "run", "--benchmarks", "gzip", "--no-cache"], "256"),
+            (["pipeline", "run", "--benchmarks", "gzip", "--no-cache",
+              "--window", "1024"], "1024"),
+            (["scenario", "run", "cache-thrash", "--no-cache"], "256"),
+        ],
+        ids=["characterize", "characterize-scenario", "pipeline-run",
+             "pipeline-run-1024", "scenario-run"],
+    )
+    def test_cycles_below_one_window_are_usage_errors(
+        self, capsys, monkeypatch, argv, window
+    ):
+        import repro.pipeline as pipeline
+
+        def no_submit(*args, **kwargs):
+            raise AssertionError("submitted a batch that cannot succeed")
+
+        monkeypatch.setattr(pipeline, "submit", no_submit)
+        assert main([*argv, "--cycles", "64"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--cycles must be at least {window}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["loadgen", "--target", "127.0.0.1:1", "--compare", "base.json"],
+        ],
+        ids=["bench", "loadgen-compare"],
+    )
+    def test_removed_bench_surface_is_a_usage_error(self, capsys, argv):
+        # speed is measured by perfbench alone (perfbench/README.md)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestStoreCommands:
-    """The `repro store` group and the store-fed pipeline/bench paths."""
+    """The `repro store` group and the store-fed pipeline path."""
 
     def test_store_parser_defaults(self):
         args = build_parser().parse_args(["store", "ingest", "gzip"])
@@ -360,10 +420,6 @@ class TestStoreCommands:
     def test_store_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store"])
-
-    def test_bench_store_flag(self):
-        args = build_parser().parse_args(["bench", "--store", "--quick"])
-        assert args.store is True and args.quick is True
 
     def test_pipeline_run_store_flag(self):
         args = build_parser().parse_args(
