@@ -73,7 +73,9 @@ from .core import (
     calibrated_supply,
     run_control_experiment,
 )
+from .power import default_tap_count
 from .uarch import simulate_benchmark
+from .wavelets import next_pow2
 from .workloads import SPEC2000, SPEC_FP, SPEC_INT
 
 __all__ = [
@@ -918,6 +920,12 @@ def _cmd_scenario_run(args) -> int:
 
 def _cmd_control(args) -> str:
     net = calibrated_supply(args.impedance)
+    minimum = next_pow2(default_tap_count(net))  # the monitor's kernel length
+    if args.cycles < minimum:
+        raise UsageError(
+            f"--cycles must be at least {minimum}, the monitor's kernel length "
+            f"at {args.impedance:g}% impedance, got {args.cycles}"
+        )
     margin = args.margin_mv / 1000.0
 
     def factory():
@@ -1314,8 +1322,8 @@ def main(argv: list[str] | None = None) -> int:
         obs_listen or obs_profile > 0 or args.command == "serve"
     ):
         # a live endpoint or profiler without an exporter still needs
-        # the telemetry plane on (as does the serve command's /metrics
-        # route); summary is the cheapest exporter
+        # the telemetry plane on (as do the serve command's /metrics
+        # and /events routes); summary is the cheapest exporter
         obs_mode = "summary"
     server = None
     if obs_mode != "off":

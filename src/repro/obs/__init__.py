@@ -25,7 +25,8 @@ energy — and this package makes the repro observable the same way:
   ``repro obs report`` / ``repro obs chrome``;
 * a **live HTTP endpoint** (:class:`~repro.obs.serve.ObsServer`,
   ``--obs-listen HOST:PORT``) exposing ``/metrics``, ``/healthz`` and a
-  streaming ``/events`` feed while a batch runs.
+  streaming ``/events`` feed while a batch runs; it loads on first use,
+  so a run without one never imports ``asyncio``.
 
 Everything is gated on one module-level flag
 (:data:`repro.obs.trace.ENABLED`), so instrumented code is no-op-cheap
@@ -55,7 +56,6 @@ from .report import (
     render_report,
     scan_records,
 )
-from .serve import ObsServer, parse_listen
 from .trace import (
     Span,
     absorb,
@@ -131,6 +131,14 @@ __all__ = [
     "worker_mode",
     "write_chrome_trace",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("ObsServer", "parse_listen"):
+        from . import serve
+
+        return getattr(serve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def enabled() -> bool:

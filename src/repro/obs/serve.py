@@ -1,42 +1,37 @@
 """Live observability endpoint: /metrics, /healthz and /events over HTTP.
 
-Zero dependencies — :class:`ObsServer` wraps a stdlib
-``ThreadingHTTPServer`` running in a daemon thread next to the workload,
-so a batch started with ``--obs-listen 127.0.0.1:9100`` can be watched
-while it runs:
+:class:`Telemetry` writes the routes once, on the package's HTTP layer
+(:mod:`repro.obs.http`):
 
-* ``GET /metrics`` — the live process registry in Prometheus text
-  exposition format (point a Prometheus scrape job at it, or just
-  ``curl`` it);
-* ``GET /healthz`` — ``{"status": "ok", ...}`` liveness JSON with
-  uptime, PID and the active trace id;
+* ``GET /metrics`` — the live process registry, Prometheus text format;
+* ``GET /healthz`` — liveness JSON with uptime, PID and the trace id;
 * ``GET /events`` — recent span/event/sample records as JSONL, newest
-  last.  ``?follow=1`` holds the connection open and streams records as
-  they happen (chunked transfer), ``?n=100`` bounds the backlog replay,
-  ``?type=event`` filters by record type.  Emergency onsets, actuations
-  and retry/requeue events all flow through here live.
+  last.  ``?type=event`` filters by record type, ``?n=100`` bounds the
+  replay (``n=0`` replays none) and ``?follow=1`` then streams records
+  as they happen (chunked), emergency onsets and retries included.
 
-The server subscribes to the record stream via
-:func:`repro.obs.trace.add_subscriber`; worker records arrive through
-the normal absorb path, so one endpoint in the supervisor shows the
-whole batch.  ``repro obs serve`` runs a standalone instance over a
-recorded JSONL log (serving its reconstructed metrics), which is also
-what the future ``repro serve`` front-end will mount.
+:class:`ObsServer` serves them from an asyncio loop in a daemon thread
+(``--obs-listen``; ``repro obs serve`` over a recorded log), and
+``repro serve`` mounts them on its own port.  Records arrive through
+:func:`repro.obs.trace.add_subscriber` on the emitting thread (worker
+records via the absorb path), join the backlog at once and hop onto
+each ``follow`` stream's loop with ``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
+import socket
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
 from . import trace
+from .http import HttpServer, send, send_chunk, send_json, write_stream_head
 
-__all__ = ["ObsServer", "parse_listen"]
+__all__ = ["ObsServer", "Telemetry", "parse_listen"]
 
 #: Ring-buffer capacity for /events backlog replay.
 EVENT_BACKLOG = 2048
@@ -65,142 +60,48 @@ def parse_listen(value: str) -> tuple[str, int]:
     return host, port
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-obs"
-
-    # the outer ObsServer, injected by make_handler
-    obs: "ObsServer"
-
-    def log_message(self, fmt, *args):  # default impl spams stderr
-        pass
-
-    def _send(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        url = urlsplit(self.path)
-        query = parse_qs(url.query)
-        try:
-            if url.path == "/metrics":
-                self._send(
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    self.obs.metrics_text().encode("utf-8"),
-                )
-            elif url.path == "/healthz":
-                self._send(
-                    200,
-                    "application/json",
-                    (json.dumps(self.obs.health()) + "\n").encode("utf-8"),
-                )
-            elif url.path == "/events":
-                self._do_events(query)
-            elif url.path == "/":
-                self._send(
-                    200,
-                    "text/plain; charset=utf-8",
-                    b"repro obs endpoints: /metrics /healthz /events\n",
-                )
-            else:
-                self._send(404, "text/plain", b"not found\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to clean up
-
-    def _do_events(self, query: dict) -> None:
-        follow = query.get("follow", ["0"])[0] not in ("0", "", "false")
-        type_filter = query.get("type", [None])[0]
-        try:
-            backlog_n = int(query.get("n", [str(EVENT_BACKLOG)])[0])
-        except ValueError:
-            backlog_n = EVENT_BACKLOG
-
-        def matches(record: dict) -> bool:
-            return type_filter is None or record.get("type") == type_filter
-
-        backlog = [r for r in self.obs.backlog() if matches(r)][-backlog_n:]
-        if not follow:
-            body = "".join(
-                json.dumps(r, default=str) + "\n" for r in backlog
-            ).encode("utf-8")
-            self._send(200, "application/x-ndjson", body)
-            return
-
-        # follow mode: chunked stream until the client disconnects or the
-        # server shuts down
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        feed: deque = deque(backlog, maxlen=EVENT_BACKLOG)
-        ready = threading.Event()
-        ready.set()
-
-        def push(record: dict) -> None:
-            if matches(record):
-                feed.append(record)
-                ready.set()
-
-        self.obs.add_listener(push)
-        try:
-            while not self.obs.stopping.is_set():
-                while feed:
-                    line = json.dumps(feed.popleft(), default=str) + "\n"
-                    self._write_chunk(line.encode("utf-8"))
-                ready.clear()
-                ready.wait(timeout=0.5)
-            self._write_chunk(b"")
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        finally:
-            self.obs.remove_listener(push)
-
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        self.wfile.write(data + b"\r\n")
-        self.wfile.flush()
+def _jsonl(record: dict) -> bytes:
+    return (json.dumps(record, default=str) + "\n").encode("utf-8")
 
 
-class ObsServer:
-    """The in-process observability HTTP server.
+class _Follower:
+    """One open ``/events?follow=1`` stream; ``push`` runs on its loop."""
+
+    def __init__(self, matches) -> None:
+        self.loop = asyncio.get_running_loop()
+        self.matches = matches
+        self.feed: deque = deque(maxlen=EVENT_BACKLOG)
+        self.ready = asyncio.Event()
+        self.closed = False
+
+    def push(self, record: dict | None) -> None:
+        """Queue ``record`` if it matches; ``None`` ends the stream."""
+        self.closed = self.closed or record is None
+        if record is not None and self.matches(record):
+            self.feed.append(record)
+        self.ready.set()
+
+
+class Telemetry:
+    """The ``/``, ``/metrics``, ``/healthz`` and ``/events`` routes.
 
     ``registry`` defaults to the live :func:`repro.obs.trace.registry`;
-    pass a rebuilt one (see
-    :func:`repro.obs.report.registry_from_records`) to serve a recorded
-    log instead.  ``subscribe=True`` (default) taps the live record
-    stream for ``/events``.
+    pass a rebuilt one (see :func:`repro.obs.report.registry_from_records`)
+    to serve a recorded log instead.  ``health`` returns fields laid
+    over the health document; ``routes`` names the owner's other routes
+    on the root page.  :meth:`on_record` is the record subscriber that
+    feeds ``/events``.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry=None,
-        subscribe: bool = True,
-    ) -> None:
+    def __init__(self, registry=None, health=None, routes=()) -> None:
         self._registry_override = registry
-        self._subscribe = subscribe
+        self._health = health
+        self.routes = (*routes, "GET /metrics", "GET /healthz", "GET /events")
         self._backlog: deque = deque(maxlen=EVENT_BACKLOG)
-        self._listeners: list = []
+        self._followers: set[_Follower] = set()
+        self._closed = False
         self._lock = threading.Lock()
-        self.stopping = threading.Event()
         self.t_start = time.time()
-
-        handler = type("BoundHandler", (_Handler,), {"obs": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: threading.Thread | None = None
-
-    # -- data feeds ------------------------------------------------------------
-
-    def metrics_text(self) -> str:
-        registry = self._registry_override or trace.registry()
-        return registry.to_prometheus()
 
     def health(self) -> dict:
         return {
@@ -210,34 +111,123 @@ class ObsServer:
             "trace_id": trace.current_trace_id(),
             "obs_mode": trace.mode(),
             "events_buffered": len(self._backlog),
+            **(self._health() if self._health else {}),
         }
 
     def backlog(self) -> list[dict]:
         with self._lock:
             return list(self._backlog)
 
-    def _on_record(self, record: dict) -> None:
-        with self._lock:
-            self._backlog.append(record)
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(record)
-
-    def add_listener(self, fn) -> None:
-        with self._lock:
-            self._listeners.append(fn)
-
-    def remove_listener(self, fn) -> None:
-        with self._lock:
-            if fn in self._listeners:
-                self._listeners.remove(fn)
-
     def feed(self, records) -> None:
         """Preload records into the /events backlog (log-serving mode)."""
         with self._lock:
             self._backlog.extend(records)
 
-    # -- lifecycle -------------------------------------------------------------
+    def on_record(self, record: dict) -> None:
+        """Record subscriber; safe to call from any thread."""
+        with self._lock:
+            self._backlog.append(record)
+            followers = list(self._followers)
+        self._hop(followers, record)
+
+    def close_streams(self) -> None:
+        """End every open follow stream, and any opened from now on."""
+        with self._lock:
+            self._closed = True
+            followers = list(self._followers)
+        self._hop(followers, None)
+
+    @staticmethod
+    def _hop(followers, record: dict | None) -> None:
+        for follower in followers:
+            try:
+                follower.loop.call_soon_threadsafe(follower.push, record)
+            except RuntimeError:
+                pass  # its loop has closed; the stream is gone
+
+    async def route(self, request, writer) -> bool:
+        """Answer ``request`` if it is one of these routes."""
+        if request.method != "GET":
+            return False
+        if request.path == "/metrics":
+            text = (self._registry_override or trace.registry()).to_prometheus()
+            ctype = "text/plain; version=0.0.4; charset=utf-8"
+            await send(writer, 200, ctype, text.encode("utf-8"))
+        elif request.path == "/healthz":
+            await send_json(writer, 200, self.health())
+        elif request.path == "/events":
+            await self._events(request.query, writer)
+        elif request.path == "/":
+            text = "repro endpoints: " + ", ".join(self.routes) + "\n"
+            await send(writer, 200, "text/plain; charset=utf-8", text.encode("utf-8"))
+        else:
+            return False
+        return True
+
+    async def _events(self, query: dict, writer) -> None:
+        n = query.get("n", str(EVENT_BACKLOG))
+        if not (n.isascii() and n.isdigit()):
+            error = f"n must be a non-negative integer, got {n!r}"
+            await send_json(writer, 400, {"error": error})
+            return
+        kind = query.get("type")
+
+        def matches(record: dict) -> bool:
+            return kind is None or record.get("type") == kind
+
+        follower = None
+        if query.get("follow", "0") not in ("0", "false"):
+            follower = _Follower(matches)
+        with self._lock:
+            # one snapshot: each record is replayed or followed, never
+            # both and never neither
+            records = [r for r in self._backlog if matches(r)]
+            if follower is not None:
+                follower.closed = self._closed
+                self._followers.add(follower)
+        records = records[-int(n):] if int(n) else []
+        if follower is None:
+            body = b"".join(_jsonl(r) for r in records)
+            await send(writer, 200, "application/x-ndjson", body)
+            return
+        try:
+            write_stream_head(writer)
+            follower.feed.extend(records)
+            while True:
+                while follower.feed:
+                    await send_chunk(writer, _jsonl(follower.feed.popleft()))
+                if follower.closed:
+                    break
+                follower.ready.clear()
+                await follower.ready.wait()
+            await send_chunk(writer, b"")
+        finally:
+            with self._lock:
+                self._followers.discard(follower)
+
+
+class ObsServer(Telemetry):
+    """The in-process observability HTTP server.
+
+    The socket is bound at construction (read ``host``, ``port`` and
+    ``url`` off it); :meth:`start` serves the :class:`Telemetry` routes
+    on an asyncio loop in a daemon thread, and :meth:`stop` ends every
+    follow stream and joins that thread.  ``subscribe=True`` (default)
+    taps the live record stream for ``/events``.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        registry=None,
+        subscribe: bool = True,
+    ) -> None:
+        super().__init__(registry)
+        self._subscribe = subscribe
+        self._sock = socket.create_server((host, port))
+        self.host, self.port = self._sock.getsockname()[:2]
+        self._thread: threading.Thread | None = None
 
     @property
     def url(self) -> str:
@@ -248,25 +238,37 @@ class ObsServer:
         if self._thread is not None:
             return self
         if self._subscribe:
-            trace.add_subscriber(self._on_record)
+            trace.add_subscriber(self.on_record)
+        started = threading.Event()
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-obs-http",
-            daemon=True,
+            target=asyncio.run, args=(self._main(started),), name="repro-obs-http", daemon=True
         )
         self._thread.start()
+        started.wait()
         return self
+
+    async def _main(self, started: threading.Event) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        http = HttpServer(self.route)
+        try:
+            await http.start(sock=self._sock)
+        finally:
+            started.set()
+        await self._stop.wait()
+        try:
+            await asyncio.wait_for(http.close(), 5.0)
+        except asyncio.TimeoutError:
+            pass  # a client that stopped reading; asyncio.run cancels it
 
     def stop(self) -> None:
         if self._thread is None:
             return
-        self.stopping.set()
         if self._subscribe:
-            trace.remove_subscriber(self._on_record)
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5.0)
+            trace.remove_subscriber(self.on_record)
+        self.close_streams()
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(timeout=10.0)
         self._thread = None
 
     def __enter__(self) -> "ObsServer":

@@ -20,7 +20,8 @@ with zero pool dispatches.
 
 The module also carries the minimal asyncio HTTP/1.1 client the
 generator (and the test battery) uses: plain requests with
-Content-Length bodies and chunked JSONL event-stream responses.
+Content-Length bodies and chunked JSONL event-stream responses, its
+status line and headers read by :func:`repro.obs.http.read_head`.
 :func:`summarize` turns one run into the JSON summary ``repro loadgen
 --output`` writes.
 """
@@ -31,6 +32,8 @@ import asyncio
 import json
 import random
 import time
+
+from ..obs.http import read_head
 
 __all__ = [
     "HttpResponse",
@@ -192,18 +195,10 @@ async def http_request(
         writer.write(body)
         await writer.drain()
 
-        status_line = await asyncio.wait_for(reader.readline(), timeout)
-        parts = status_line.decode("latin-1").split(None, 2)
+        parts, resp_headers = await read_head(reader, timeout)
         if len(parts) < 2:
-            raise ConnectionError(f"bad status line {status_line!r}")
+            raise ConnectionError(f"bad status line {' '.join(parts)!r}")
         status = int(parts[1])
-        resp_headers: dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            resp_headers[name.strip().lower()] = value.strip()
 
         if resp_headers.get("transfer-encoding", "").lower() == "chunked":
             chunks = []

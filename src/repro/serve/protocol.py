@@ -274,10 +274,10 @@ def parse_request(payload: dict) -> ServeRequest:
 def build_spec(request: ServeRequest, *, network_for, store, spool) -> JobSpec:
     """One request → one :class:`~repro.pipeline.JobSpec`.
 
-    ``network_for(impedance)`` supplies (and memoizes) the calibrated
-    supply network; ``store`` is the server's read-only reference corpus
-    (or ``None``); ``spool`` is the append-mode store inline uploads are
-    ingested into (or ``None`` to refuse uploads).
+    ``network_for(impedance)`` supplies the calibrated supply network;
+    ``store`` is the server's read-only reference corpus (or ``None``);
+    ``spool`` is the append-mode store inline uploads are ingested into
+    (or ``None`` to refuse uploads).
     """
     network = network_for(request.impedance)
     common = dict(

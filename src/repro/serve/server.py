@@ -1,7 +1,7 @@
 """The asyncio characterization server (``repro serve``).
 
-Zero dependencies: a hand-rolled HTTP/1.1 layer over
-``asyncio.start_server`` — request line + headers + Content-Length body
+Zero dependencies: it runs on the package's one HTTP/1.1 layer
+(:mod:`repro.obs.http`) — request line + headers + Content-Length body
 in, either a plain JSON response or a chunked JSONL event stream out.
 Endpoints:
 
@@ -10,12 +10,13 @@ Endpoints:
   ``accepted`` → ``status`` → ``result``/``error`` → ``done`` events as
   chunked JSONL, so a client watches its request move through the
   coalescer and the pool live;
-* ``GET /healthz`` — liveness JSON (state, uptime, queue depth);
 * ``GET /stats`` — the server's counters (requests, cache fast-path
   hits, dispatches, rejections) as JSON — the loadgen's ground truth
   for "zero worker dispatches on a warm cache";
-* ``GET /metrics`` — the process :mod:`repro.obs` registry in
-  Prometheus text format (serve metrics included).
+* ``GET /metrics``, ``GET /healthz`` and ``GET /events`` — the
+  :class:`repro.obs.serve.Telemetry` routes: ``/healthz`` adds the
+  serve state (``ok`` or ``draining``), queue depth and protocol, and
+  ``/events`` shows each accepted request's ``serve_request`` event.
 
 Admission happens *before* a request touches the pipeline: a draining
 server answers 503, an empty token bucket 429 (with ``Retry-After``),
@@ -24,6 +25,8 @@ unbounded queue.  ``serve_until_shutdown`` installs SIGTERM/SIGINT
 handlers that trigger a graceful drain: stop accepting, flush every
 queued and in-flight job, finish every open response stream, then
 return — a request accepted before the signal always gets its result.
+An open ``/events?follow=1`` stream ends with its terminal chunk as
+the drain begins.
 
 Binding port 0 is first-class: the OS assigns an ephemeral port, the
 real bound address is printed (and optionally written to
@@ -39,9 +42,12 @@ import os
 import signal
 import tempfile
 import time
+from dataclasses import dataclass
 
 from ..core import calibrated_supply
 from ..obs import trace as obs
+from ..obs.http import HttpServer, send_chunk, send_json, write_stream_head
+from ..obs.serve import Telemetry
 from ..pipeline import BatchOptions, submit
 from ..pipeline.cache import ResultCache
 from ..pipeline.executor import execute_job
@@ -60,44 +66,24 @@ from .quota import QuotaRegistry
 
 __all__ = ["ServeConfig", "ServeServer"]
 
-#: Hard cap on request bodies (inline traces included).
-MAX_BODY_BYTES = 64 * 1024 * 1024
-#: Per-connection header/body read budget.
-READ_TIMEOUT_S = 30.0
 
-
+@dataclass
 class ServeConfig:
     """Everything ``repro serve`` is configured by (plain values)."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        jobs: int = 1,
-        cache_dir: str | None = ".repro-cache",
-        store_dir: str | None = None,
-        spool_dir: str | None = None,
-        quota_rate: float = 0.0,
-        quota_burst: float = 8.0,
-        max_pending: int = 32,
-        max_batch: int = 8,
-        retries: int = 0,
-        timeout_s: float | None = None,
-        backoff_s: float = 0.2,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.store_dir = store_dir
-        self.spool_dir = spool_dir
-        self.quota_rate = quota_rate
-        self.quota_burst = quota_burst
-        self.max_pending = max_pending
-        self.max_batch = max_batch
-        self.retries = retries
-        self.timeout_s = timeout_s
-        self.backoff_s = backoff_s
+    host: str = "127.0.0.1"
+    port: int = 0
+    jobs: int = 1
+    cache_dir: str | None = ".repro-cache"
+    store_dir: str | None = None
+    spool_dir: str | None = None
+    quota_rate: float = 0.0
+    quota_burst: float = 8.0
+    max_pending: int = 32
+    max_batch: int = 8
+    retries: int = 0
+    timeout_s: float | None = None
+    backoff_s: float = 0.2
 
 
 class ServeServer:
@@ -105,12 +91,12 @@ class ServeServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.t_start = time.time()
-        self._server: asyncio.base_events.Server | None = None
+        self._http = HttpServer(self._route)
+        self.telemetry = Telemetry(
+            health=self._health_fields,
+            routes=("POST /v1/characterize", "POST /v1/monitor", "GET /stats"),
+        )
         self._draining = False
-        self._connections = 0
-        self._conn_idle: asyncio.Event | None = None
-        self._networks: dict[float, object] = {}
         self._store = None
         self._spool = None
         self._spool_tmp: tempfile.TemporaryDirectory | None = None
@@ -169,13 +155,6 @@ class ServeServer:
 
         return try_cache
 
-    def network_for(self, impedance: float):
-        """The calibrated supply network at ``impedance`` (memoized)."""
-        key = round(float(impedance), 6)
-        if key not in self._networks:
-            self._networks[key] = calibrated_supply(key)
-        return self._networks[key]
-
     # -- lifecycle -------------------------------------------------------------
 
     @property
@@ -188,28 +167,20 @@ class ServeServer:
         return self._draining
 
     async def start(self) -> "ServeServer":
+        from ..store import TraceStore
+
         if self.config.store_dir:
-            from ..store import TraceStore
-
             self._store = TraceStore(self.config.store_dir)
-        if self.config.spool_dir:
-            from ..store import TraceStore
-
-            self._spool = TraceStore(self.config.spool_dir, mode="a")
-        else:
-            from ..store import TraceStore
-
-            self._spool_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-serve-spool-"
-            )
-            self._spool = TraceStore(self._spool_tmp.name, mode="a")
-        self._conn_idle = asyncio.Event()
-        self._conn_idle.set()
+        spool_dir = self.config.spool_dir
+        if not spool_dir:
+            self._spool_tmp = tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
+            spool_dir = self._spool_tmp.name
+        self._spool = TraceStore(spool_dir, mode="a")
         self.coalescer.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        obs.add_subscriber(self.telemetry.on_record)
+        self.host, self.port = await self._http.start(
+            self.config.host, self.config.port
         )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self
 
     async def drain(self) -> None:
@@ -218,12 +189,10 @@ class ServeServer:
             return
         self._draining = True
         obs.event("serve_drain", queue_depth=self.coalescer.depth)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self.telemetry.close_streams()
+        await self._http.close()
         await self.coalescer.drain()
-        if self._conn_idle is not None:
-            await self._conn_idle.wait()
+        obs.remove_subscriber(self.telemetry.on_record)
         if self._spool_tmp is not None:
             self._spool_tmp.cleanup()
             self._spool_tmp = None
@@ -254,172 +223,82 @@ class ServeServer:
             for sig in installed:
                 loop.remove_signal_handler(sig)
 
-    # -- HTTP plumbing ---------------------------------------------------------
+    # -- routes ----------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._connections += 1
-        self._conn_idle.clear()
-        try:
-            await self._handle_request(reader, writer)
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-        ):
-            pass  # client went away or dawdled; nothing to answer
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            self._connections -= 1
-            if self._connections == 0:
-                self._conn_idle.set()
-
-    async def _handle_request(self, reader, writer) -> None:
-        request_line = await asyncio.wait_for(
-            reader.readline(), READ_TIMEOUT_S
-        )
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), READ_TIMEOUT_S)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            if length > MAX_BODY_BYTES:
-                await self._send_json(
-                    writer,
-                    413,
-                    {"error": f"body over {MAX_BODY_BYTES} bytes"},
-                )
-                return
-            body = await asyncio.wait_for(
-                reader.readexactly(length), READ_TIMEOUT_S
-            )
-        peer = writer.get_extra_info("peername")
-        client_hint = headers.get("x-client") or (
-            f"{peer[0]}" if isinstance(peer, tuple) else "anonymous"
-        )
-
-        if method == "GET" and path == "/healthz":
-            await self._send_json(writer, 200, self.health())
-        elif method == "GET" and path == "/stats":
-            await self._send_json(writer, 200, self.snapshot_stats())
-        elif method == "GET" and path == "/metrics":
-            await self._send_text(
-                writer,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                obs.registry().to_prometheus(),
-            )
-        elif method == "GET" and path == "/":
-            await self._send_text(
-                writer,
-                200,
-                "text/plain; charset=utf-8",
-                "repro serve endpoints: POST /v1/characterize "
-                "/v1/monitor; GET /healthz /stats /metrics\n",
-            )
-        elif method == "POST" and path in (
+    async def _route(self, request, writer) -> bool:
+        if await self.telemetry.route(request, writer):
+            return True
+        if request.method == "GET" and request.path == "/stats":
+            await send_json(writer, 200, self.snapshot_stats())
+        elif request.method == "POST" and request.path in (
             "/v1/characterize",
             "/v1/monitor",
         ):
-            await self._handle_submit(writer, body, client_hint)
-        else:
-            await self._send_json(
-                writer, 404, {"error": f"no route {method} {path}"}
+            peer = writer.get_extra_info("peername")
+            client_hint = request.headers.get("x-client") or (
+                f"{peer[0]}" if isinstance(peer, tuple) else "anonymous"
             )
+            await self._handle_submit(writer, request.body, client_hint)
+        else:
+            return False
+        return True
 
     # -- the characterization route --------------------------------------------
+
+    async def _reject(self, writer, code: int, doc: dict, retry_after: int = 0) -> None:
+        """Refuse a request before any work: count it and answer ``code``."""
+        self.stats[f"rejected_{code}"] += 1
+        headers = {"Retry-After": str(retry_after)} if retry_after else None
+        await send_json(writer, code, doc, headers)
 
     async def _handle_submit(self, writer, body: bytes, client_hint: str):
         t0 = time.monotonic()
         self.stats["requests"] += 1
         if self._draining:
-            self.stats["rejected_503"] += 1
-            await self._send_json(
-                writer,
-                503,
-                {"error": "draining", "retry_after_s": 1.0},
-                extra_headers={"Retry-After": "1"},
-            )
+            await self._reject(writer, 503, {"error": "draining", "retry_after_s": 1.0}, 1)
             return
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.stats["rejected_400"] += 1
-            await self._send_json(
-                writer, 400, {"error": f"bad JSON body: {exc}"}
-            )
+            await self._reject(writer, 400, {"error": f"bad JSON body: {exc}"})
             return
         try:
             request = parse_request(payload)
             client = request.client or client_hint
             granted, retry_after = self.quotas.check(client)
             if not granted:
-                self.stats["rejected_429"] += 1
                 obs.counter_inc(
                     "serve_rejected_total",
                     1,
                     "requests rejected before execution, by reason",
                     reason="quota",
                 )
-                await self._send_json(
-                    writer,
-                    429,
-                    {
-                        "error": f"quota exhausted for client {client!r}",
-                        "retry_after_s": round(retry_after, 4),
-                    },
-                    extra_headers={
-                        "Retry-After": str(max(1, int(retry_after + 0.5)))
-                    },
-                )
+                doc = {
+                    "error": f"quota exhausted for client {client!r}",
+                    "retry_after_s": round(retry_after, 4),
+                }
+                await self._reject(writer, 429, doc, max(1, int(retry_after + 0.5)))
                 return
             spec = await asyncio.to_thread(
                 build_spec,
                 request,
-                network_for=self.network_for,
+                network_for=lambda imp: calibrated_supply(round(float(imp), 6)),
                 store=self._store,
                 spool=self._spool,
             )
         except RequestError as exc:
-            self.stats["rejected_400"] += 1
-            await self._send_json(
-                writer, 400, {"error": str(exc), **exc.details}
-            )
+            await self._reject(writer, 400, {"error": str(exc), **exc.details})
             return
 
         request_id = os.urandom(8).hex()
         try:
             sub = await self.coalescer.submit(spec, request_id)
         except DrainingError as exc:
-            self.stats["rejected_503"] += 1
-            await self._send_json(
-                writer,
-                503,
-                {"error": str(exc), "retry_after_s": 1.0},
-                extra_headers={"Retry-After": "1"},
-            )
+            await self._reject(writer, 503, {"error": str(exc), "retry_after_s": 1.0}, 1)
             return
         except AdmissionError as exc:
-            self.stats["rejected_503"] += 1
-            await self._send_json(
-                writer,
-                503,
-                {"error": str(exc), **exc.details, "retry_after_s": 0.5},
-                extra_headers={"Retry-After": "1"},
-            )
+            doc = {"error": str(exc), **exc.details, "retry_after_s": 0.5}
+            await self._reject(writer, 503, doc, 1)
             return
 
         obs.event(
@@ -432,32 +311,23 @@ class ServeServer:
             digest=spec.digest()[:16],
         )
         # accepted: everything from here streams as chunked JSONL
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await self._send_chunk(
-            writer,
-            encode_event(
-                {
-                    "type": "accepted",
-                    "request_id": request_id,
-                    "protocol": PROTOCOL_VERSION,
-                    "digest": spec.digest(),
-                    "benchmark": spec.benchmark,
-                    "trace_id": obs.current_trace_id(),
-                }
-            ),
-        )
+        write_stream_head(writer)
+        accepted = {
+            "type": "accepted",
+            "request_id": request_id,
+            "protocol": PROTOCOL_VERSION,
+            "digest": spec.digest(),
+            "benchmark": spec.benchmark,
+            "trace_id": obs.current_trace_id(),
+        }
+        await send_chunk(writer, encode_event(accepted))
         ok = False
         try:
             async for event in sub.events():
-                await self._send_chunk(writer, encode_event(event))
+                await send_chunk(writer, encode_event(event))
                 if event["type"] == "done":
                     ok = bool(event.get("ok"))
-            await self._send_chunk(writer, b"")  # terminal 0-chunk
+            await send_chunk(writer, b"")  # terminal 0-chunk
         finally:
             elapsed = time.monotonic() - t0
             self.stats["ok" if ok else "errors"] += 1
@@ -473,59 +343,11 @@ class ServeServer:
                 "accepted-request wall time to the done event",
             )
 
-    # -- response helpers ------------------------------------------------------
-
-    async def _send_chunk(self, writer, data: bytes) -> None:
-        writer.write(f"{len(data):x}\r\n".encode("ascii"))
-        writer.write(data + b"\r\n")
-        await writer.drain()
-
-    async def _send_json(
-        self, writer, code: int, doc: dict, extra_headers: dict | None = None
-    ) -> None:
-        body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-        reason = {
-            200: "OK",
-            400: "Bad Request",
-            404: "Not Found",
-            413: "Payload Too Large",
-            429: "Too Many Requests",
-            503: "Service Unavailable",
-        }.get(code, "OK")
-        head = [
-            f"HTTP/1.1 {code} {reason}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
-        for name, value in (extra_headers or {}).items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        writer.write(body)
-        await writer.drain()
-
-    async def _send_text(
-        self, writer, code: int, content_type: str, text: str
-    ) -> None:
-        body = text.encode("utf-8")
-        writer.write(
-            (
-                f"HTTP/1.1 {code} OK\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-        )
-        writer.write(body)
-        await writer.drain()
-
     # -- introspection ---------------------------------------------------------
 
-    def health(self) -> dict:
+    def _health_fields(self) -> dict:
         return {
             "status": "draining" if self._draining else "ok",
-            "pid": os.getpid(),
-            "uptime_s": round(time.time() - self.t_start, 3),
             "queue_depth": self.coalescer.depth,
             "protocol": PROTOCOL_VERSION,
         }

@@ -1,6 +1,9 @@
 """The live obs endpoint: parse_listen, /metrics, /healthz, /events."""
 
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -127,3 +130,64 @@ class TestLiveStream:
                 pass
             names = [r.get("name") for r in server.backlog()]
             assert "late" in names
+
+
+class TestEventsQuery:
+    def test_n_zero_replays_nothing(self, enabled):
+        with ObsServer("127.0.0.1", 0) as server:
+            obs.event("emergency")
+            status, _, body = _get(f"{server.url}/events?n=0")
+            assert status == 200 and body == b""
+
+    @pytest.mark.parametrize("n", ["-1", "two", "0x10"])
+    def test_negative_or_non_integer_n_is_a_400(self, enabled, n):
+        with ObsServer("127.0.0.1", 0) as server:
+            obs.event("emergency")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(f"{server.url}/events?n={n}")
+            with err.value as response:
+                assert response.code == 400
+                assert b"non-negative integer" in response.read()
+
+
+class TestFollow:
+    def _open(self, server, query):
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        sock.sendall(f"GET /events?{query} HTTP/1.1\r\n\r\n".encode())
+        stream = sock.makefile("rb")
+        sock.close()  # the file keeps the connection open
+        return stream
+
+    @staticmethod
+    def _chunk(stream):
+        size = int(stream.readline().strip(), 16)
+        return stream.read(size + 2)[:-2]
+
+    def test_follow_streams_live_records_and_stop_ends_it(self, enabled):
+        server = ObsServer("127.0.0.1", 0).start()
+        try:
+            obs.event("before")
+            stream = self._open(server, "follow=1&type=event")
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                head += stream.readline()
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"Transfer-Encoding: chunked" in head
+            assert json.loads(self._chunk(stream))["name"] == "before"
+            # a record emitted on another thread hops onto the loop
+            emitter = threading.Thread(
+                target=obs.event, args=("live",), kwargs={"n": 1}
+            )
+            emitter.start()
+            emitter.join()
+            with obs.span("not-an-event"):
+                pass
+            obs.event("after-span")
+            assert json.loads(self._chunk(stream))["name"] == "live"
+            assert json.loads(self._chunk(stream))["name"] == "after-span"
+        finally:
+            t0 = time.monotonic()
+            server.stop()
+        assert time.monotonic() - t0 < 5
+        assert self._chunk(stream) == b""  # the terminal chunk
+        stream.close()

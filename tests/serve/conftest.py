@@ -11,10 +11,12 @@ server object, and nothing in this battery ever touches a fixed port.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
 
+from repro import obs
 from repro.serve import ServeConfig, ServeServer
 from repro.serve.loadgen import http_request
 
@@ -100,6 +102,27 @@ class ServerHandle:
 
     def stats(self) -> dict:
         return self.call("GET", "/stats").json()
+
+
+def raw_exchange(host: str, port: int, data: bytes, timeout=30.0) -> bytes:
+    """Send ``data`` as is and return every byte up to the server's EOF."""
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.fixture
+def obs_on():
+    """Telemetry on; ask for it before ``serve_factory``, because
+    ``obs.enable`` drops the record subscribers of running servers."""
+    obs.enable("summary")
+    yield
+    obs.disable()
 
 
 @pytest.fixture

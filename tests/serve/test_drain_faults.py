@@ -70,6 +70,37 @@ class TestDrainInProcess:
         assert events[-1]["ok"] is True
 
 
+    def test_drain_ends_an_open_follow_stream(self, obs_on, serve_factory):
+        handle = serve_factory()
+        telemetry = handle.server.telemetry
+        outcome = {}
+
+        def follow():
+            outcome["response"] = handle.call(
+                "GET", "/events?follow=1&type=event", timeout=30
+            )
+
+        follower = threading.Thread(target=follow)
+        follower.start()
+        deadline = time.monotonic() + 30
+        while not telemetry._followers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert telemetry._followers, "the follow stream never opened"
+        t0 = time.monotonic()
+        handle.drain(timeout=30)
+        elapsed = time.monotonic() - t0
+        follower.join(30)
+        assert not follower.is_alive()
+        assert elapsed < 10
+        # the stream ended with its terminal chunk, after the live
+        # serve_drain event reached it
+        response = outcome["response"]
+        assert response.status == 200
+        assert response.headers["transfer-encoding"] == "chunked"
+        names = [e["name"] for e in response.events]
+        assert names[-1] == "serve_drain"
+
+
 class TestDrainOverSigterm:
     def test_sigterm_mid_batch_drains_and_exits_zero(self, tmp_path):
         port_file = tmp_path / "port.txt"

@@ -7,14 +7,17 @@ network x window pair, so the process calibrates one estimator for the
 whole battery.
 """
 
+import json
 import threading
 import time
 
 import numpy as np
+import pytest
 
+from repro import obs
 from repro.store import TraceStore
 
-from .conftest import quick_payload
+from .conftest import quick_payload, raw_exchange
 
 
 class TestBindAndIntrospection:
@@ -45,6 +48,59 @@ class TestBindAndIntrospection:
     def test_unknown_route_404(self, serve_factory):
         response = serve_factory().call("GET", "/nope")
         assert response.status == 404
+
+    def test_healthz_is_the_obs_document_plus_serve_fields(
+        self, obs_on, serve_factory
+    ):
+        doc = serve_factory().call("GET", "/healthz").json()
+        assert doc["obs_mode"] == "summary"
+        assert doc["trace_id"] == obs.current_trace_id()
+        assert doc["pid"] > 0 and doc["uptime_s"] >= 0
+        assert doc["status"] == "ok" and doc["queue_depth"] == 0
+
+
+class TestEvents:
+    def test_serve_request_event_on_the_serve_port(
+        self, obs_on, serve_factory
+    ):
+        handle = serve_factory()
+        accepted = handle.submit(quick_payload(seed=41)).events[0]
+        response = handle.call("GET", "/events?type=event")
+        assert response.status == 200
+        assert "application/x-ndjson" in response.headers["content-type"]
+        served = [
+            e for e in response.events if e["name"] == "serve_request"
+        ]
+        assert [e["attrs"]["request_id"] for e in served] == [
+            accepted["request_id"]
+        ]
+        assert served[0]["attrs"]["digest"] == accepted["digest"][:16]
+
+    def test_n_bounds_the_replay_and_zero_replays_none(
+        self, obs_on, serve_factory
+    ):
+        handle = serve_factory()
+        for i in range(3):
+            obs.event("probe", i=i)
+        probes = [
+            e["attrs"]["i"]
+            for e in handle.call("GET", "/events?type=event&n=2").events
+        ]
+        assert probes == [1, 2]
+        response = handle.call("GET", "/events?n=0")
+        assert response.status == 200 and response.body == b""
+
+    @pytest.mark.parametrize("n", ["-1", "abc", "1.5", ""])
+    def test_bad_n_is_a_400(self, obs_on, serve_factory, n):
+        handle = serve_factory()
+        obs.event("probe")
+        response = handle.call("GET", f"/events?n={n}")
+        if n == "":
+            # a blank parameter is no parameter: the whole backlog
+            assert response.status == 200 and response.events
+        else:
+            assert response.status == 400
+            assert "non-negative integer" in response.json()["error"]
 
 
 class TestCharacterizeRoundTrip:
@@ -179,6 +235,24 @@ class TestCharacterizeRoundTrip:
 
 
 class TestRejections:
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_400(self, serve_factory, length):
+        handle = serve_factory()
+        reply = raw_exchange(
+            handle.host,
+            handle.port,
+            (
+                "POST /v1/characterize HTTP/1.1\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}"
+            ).encode("latin-1"),
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        # the connection was answered, and the server still serves
+        assert handle.stats()["requests"] == 0
+
     def test_bad_json_body_400(self, serve_factory):
         handle = serve_factory()
         response = handle.call(

@@ -364,6 +364,24 @@ class TestExitCodes:
         assert "window must be a power of two >= 4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("impedance", ["100", "150", "200"])
+    @pytest.mark.parametrize("cycles", ["1", "511"])
+    def test_control_below_the_monitor_kernel_names_the_minimum(
+        self, capsys, monkeypatch, impedance, cycles
+    ):
+        import repro.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_control_experiment", never)
+        argv = ["control", "gzip", "--impedance", impedance, "--cycles", cycles]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        # the monitor's kernel is next_pow2(default_tap_count(net)) taps
+        assert "at least 512" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv, window",
         [
