@@ -1149,14 +1149,21 @@ def _cmd_store_gc(args) -> str:
     )
 
 
+def _log_file(path: str) -> str:
+    """``path``, or a usage error naming it when no such file exists."""
+    if not os.path.isfile(path):
+        raise UsageError(f"no such log file: {path}")
+    return path
+
+
 def _cmd_obs_report(args) -> str:
-    return obs.render_report(args.log)
+    return obs.render_report(_log_file(args.log))
 
 
 def _cmd_obs_chrome(args) -> str:
     from .obs.trace import DEFAULT_CHROME_PATH
 
-    records, skipped = obs.scan_records(args.log)
+    records, skipped = obs.scan_records(_log_file(args.log))
     output = args.output or DEFAULT_CHROME_PATH
     count = obs.write_chrome_trace(records, output)
     line = (
@@ -1180,7 +1187,7 @@ def _cmd_obs_serve(args) -> int:
     records: list = []
     skipped = 0
     if args.log:
-        records, skipped = obs.scan_records(args.log)
+        records, skipped = obs.scan_records(_log_file(args.log))
         registry = obs.registry_from_records(records)
     server = obs.ObsServer(
         host, port, registry=registry, subscribe=args.log is None

@@ -12,10 +12,15 @@ and false-positive control actions.
 
 from __future__ import annotations
 
-import math
+import multiprocessing
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from itertools import repeat
+
+import numpy as np
 
 from ..obs import trace as obs
 from ..power import PowerSupplyNetwork, StreamingVoltageModel
@@ -191,15 +196,148 @@ class _Recorder:
         return stall, noops
 
 
-def _run(pipe, max_cycles, controller=None, target=math.inf):
-    """Run a warmed ``pipe``; returns (cycles to its last commit,
-    committed, current)."""
+def _cycles_to_last_commit(pipe, start: int) -> int:
+    """The length of a run begun at cycle ``start``.
+
+    Both runs are scored at the cycle of their final commit, so trailing
+    stall cycles after the last useful instruction don't skew the
+    slowdown comparison between runs of identical committed work.
+    """
+    return max(pipe.last_commit_cycle + 1 - start, 0)
+
+
+#: Cycles the free-running run goes between reports of its committed count.
+_CHUNK = 256
+#: Seconds between looks at the free-running child's progress while the
+#: controlled run waits on it.
+_POLL_S = 0.001
+
+
+def _free_run(pipe, cycles, progress=None):
+    """The free-running run of a warmed ``pipe``: (cycles to its last
+    commit, committed, current).
+
+    It goes through the one cycle loop in ``_CHUNK``-cycle pieces, which is
+    exact: a fast-forward stops at a piece's end and goes on in the next.
+    After each piece the committed count is stored in ``progress``.
+    """
     start = pipe.cycle
-    current, _ = _run_cycles(pipe, max_cycles, controller, target)
-    # Both runs are scored at the cycle of their final commit, so trailing
-    # stall cycles after the last useful instruction don't skew the
-    # slowdown comparison between runs of identical committed work.
-    return max(pipe.last_commit_cycle + 1 - start, 0), pipe.stats.committed, current
+    current = np.empty(cycles)
+    done = 0
+    while done < cycles:
+        piece, _ = _run_cycles(pipe, min(_CHUNK, cycles - done))
+        current[done : done + len(piece)] = piece
+        done += len(piece)
+        if progress is not None:
+            progress.value = pipe.stats.committed
+        if pipe.drained:
+            break
+    return _cycles_to_last_commit(pipe, start), pipe.stats.committed, current[:done]
+
+
+def _free_run_child(pipe, cycles, progress, conn):
+    """A forked child's free-running run, sent back with its own seconds."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
+    t0 = time.perf_counter()
+    outcome = _free_run(pipe, cycles, progress)
+    conn.send((*outcome, time.perf_counter() - t0))
+
+
+def _can_fork() -> bool:
+    """Whether the free-running run may go to a child beside the controlled
+    one: a ``fork`` start method, a process allowed children (a daemonic
+    pool worker is not), a second usable CPU and no other thread alive
+    (forking a threaded process can deadlock the child)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and cpus >= 2
+        and threading.active_count() == 1
+    )
+
+
+class _Baseline:
+    """An experiment's free-running run, as the controlled run sees it.
+
+    Where :func:`_can_fork`, a forked child runs it on its copy-on-write
+    image of the warmed machine while this process runs the controlled
+    run; :meth:`bound` then blocks only while the controlled run has
+    caught up with the child's progress.  Otherwise it runs here, first,
+    on ``pipe.fork()``, and :meth:`bound` is exact at once.  Either way
+    ``pipe`` is left for the controlled run.
+    """
+
+    def __init__(self, name: str, pipe, cycles: int) -> None:
+        self.name = name
+        self.concurrent = _can_fork()
+        self.wait_s = 0.0
+        self._child = None
+        t0 = time.perf_counter()
+        if self.concurrent:
+            ctx = multiprocessing.get_context("fork")
+            self._progress = ctx.Value("q", 0, lock=False)
+            self._conn, child_end = ctx.Pipe(duplex=False)
+            self._child = ctx.Process(
+                target=_free_run_child,
+                args=(pipe, cycles, self._progress, child_end),
+                daemon=True,
+            )
+            self._child.start()
+            child_end.close()
+            self._result = None
+            self.fork_s = time.perf_counter() - t0
+        else:
+            twin = pipe.fork()
+            t1 = time.perf_counter()
+            self.fork_s = t1 - t0
+            self._result = (*_free_run(twin, cycles), time.perf_counter() - t1)
+
+    def _receive(self, timeout: float | None) -> bool:
+        """Wait up to ``timeout`` s for the child's result; True once in."""
+        if self._result is None and self._conn.poll(timeout):
+            try:
+                self._result = self._conn.recv()
+            except EOFError:
+                self._child.join()
+                raise RuntimeError(
+                    f"{self.name}: the free-running run's child process "
+                    f"exited (code {self._child.exitcode}) without a result"
+                ) from None
+        return self._result is not None
+
+    def bound(self, committed: int) -> int:
+        """A lower bound on the run's committed count: above ``committed``,
+        or else the exact count once it is known."""
+        if self._result is None:
+            t0 = time.perf_counter()
+            while (progress := self._progress.value) <= committed:
+                if self._receive(_POLL_S):
+                    break
+            self.wait_s += time.perf_counter() - t0
+            if self._result is None:
+                return progress
+        return self._result[1]
+
+    def result(self):
+        """(cycles to its last commit, committed, current, seconds)."""
+        if self._result is None:
+            t0 = time.perf_counter()
+            self._receive(None)
+            self.wait_s += time.perf_counter() - t0
+        return self._result
+
+    def close(self) -> None:
+        """End and reap the child: at once if its result never came."""
+        if self._child is not None:
+            if self._result is None:
+                self._child.kill()
+            self._child.join()
+            self._child.close()
+            self._conn.close()
 
 
 def _score(current, network, name, intervened=None, band=(0.0, 0.0)):
@@ -244,9 +382,13 @@ def run_control_experiment(
     """Measure slowdown and fault suppression for one controller.
 
     Runs uncontrolled for ``cycles`` to fix the work unit (committed
-    instructions), then re-runs under control until the same work
-    completes (bounded at 4x the cycles).  The machine is warmed up once
-    and forked, so both runs start from the same state.  ``controller_factory()`` must
+    instructions), and under control until the same work completes
+    (bounded at 4x the cycles).  The machine is warmed up once and
+    forked, so both runs start from the same state; with a second CPU
+    free the free-running run goes on in a child process while the
+    controlled run goes on here (see :class:`_Baseline`), with results
+    identical to running them one after the other.  The controller is
+    built and driven in this process.  ``controller_factory()`` must
     build a fresh controller, e.g.
     ``lambda: ThresholdController(WaveletVoltageMonitor(net, 13), net)``.
 
@@ -256,32 +398,39 @@ def run_control_experiment(
     profile = get_profile(benchmark) if isinstance(benchmark, str) else benchmark
     with obs.span("control.experiment", benchmark=profile.name) as span:
         t0 = time.perf_counter()
-        # One warm-up serves both runs: the controlled run starts from an
-        # exact copy of the machine the free-running one starts from.
+        # One warm-up serves both runs: each starts from an exact copy of
+        # the warmed machine.
         pipe = _warm_pipeline(profile, warmup_cycles, config)
         t1 = time.perf_counter()
-        twin = pipe.fork()
-        t2 = time.perf_counter()
-        base_cycles, base_insts, current = _run(pipe, cycles)
-        base_faults, _ = _score(current, network, profile.name)
-        del pipe  # the controlled run needs only its twin
-        t3 = time.perf_counter()
-        controller = controller_factory()
-        band = (
-            getattr(controller, "v_low_control", network.v_min) + safety_band,
-            getattr(controller, "v_high_control", network.v_max) - safety_band,
-        )
-        recorder = _Recorder(controller)
-        ctl_cycles, _, current = _run(twin, 4 * cycles, recorder, base_insts)
+        baseline = _Baseline(profile.name, pipe, cycles)
+        try:
+            t2 = time.perf_counter()
+            controller = controller_factory()
+            band = (
+                getattr(controller, "v_low_control", network.v_min) + safety_band,
+                getattr(controller, "v_high_control", network.v_max) - safety_band,
+            )
+            recorder = _Recorder(controller)
+            start = pipe.cycle
+            ctl_current, _ = _run_cycles(
+                pipe, 4 * cycles, recorder, baseline.bound
+            )
+            ctl_cycles = _cycles_to_last_commit(pipe, start)
+            base_cycles, base_insts, base_current, base_s = baseline.result()
+        finally:
+            baseline.close()
+        base_faults, _ = _score(base_current, network, profile.name)
         ctl_faults, false_pos = _score(
-            current, network, profile.name, recorder.intervened, band
+            ctl_current, network, profile.name, recorder.intervened, band
         )
         span.set(
             controller=type(controller).__name__,
+            concurrent=baseline.concurrent,
             warmup_s=t1 - t0,
-            fork_s=t2 - t1,
-            baseline_s=t3 - t2,
-            controlled_s=time.perf_counter() - t3,
+            fork_s=baseline.fork_s,
+            baseline_s=base_s,
+            controlled_s=time.perf_counter() - t2,
+            wait_s=baseline.wait_s,
         )
     stalls = getattr(controller, "stall_decisions", 0)
     boosts = getattr(controller, "boost_decisions", 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -125,7 +125,7 @@ def _record_run(result: SimulationResult, pipe: Pipeline) -> None:
 
 def _run_cycles(
     pipe: Pipeline, cycles: int, controller: DidtController | None = None,
-    target: float = math.inf,
+    target: Callable[[int], int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one cycle loop: run ``pipe`` for up to ``cycles`` cycles.
 
@@ -133,9 +133,14 @@ def _run_cycles(
     if the machine drains.  Without a controller, quiescent stretches are
     fast-forwarded (:meth:`Pipeline.fast_forward`) and filled with the idle
     current; a controller observes every cycle, so it gets them all ticked,
-    its decisions applied with a one-cycle delay.  A controlled run also
-    stops once ``pipe.stats.committed`` reaches ``target``.
+    its decisions applied with a one-cycle delay.  A controlled run given
+    ``target`` also stops once ``pipe.stats.committed`` reaches the total
+    that ``target`` bounds from below: ``target(committed)`` returns a
+    bound above ``committed`` or the exact total, blocking until it has
+    one.  The loop compares the count with the last bound every cycle and
+    asks again only when the count reaches it.
     """
+    bound = math.inf if target is None else 0
     current = np.empty(cycles)
     l2_flag = np.empty(cycles, dtype=bool)
     tick = pipe.tick
@@ -155,8 +160,10 @@ def _run_cycles(
         n += 1
         if controller is not None:
             pipe.stall_issue, pipe.inject_noops = controller.update(amps)
-            if pipe.stats.committed >= target:
-                break
+            if pipe.stats.committed >= bound:
+                bound = target(pipe.stats.committed)
+                if pipe.stats.committed >= bound:
+                    break
         if pipe.drained:
             break
     return current[:n], l2_flag[:n]

@@ -254,6 +254,21 @@ class TestExitCodes:
         assert "SpecError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "report"],
+            ["obs", "chrome"],
+            ["obs", "serve", "--duration", "0", "--log"],
+        ],
+        ids=["report", "chrome", "serve"],
+    )
+    def test_missing_obs_log_is_usage_error(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "MISSING.jsonl")
+        assert main([*argv, missing]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == f"repro: usage error: no such log file: {missing}"
+
     def test_resume_without_cache_is_usage_error(self, capsys):
         code = main([
             "pipeline", "run", "--benchmarks", "gzip", "--no-cache",

@@ -1,7 +1,8 @@
 """``Pipeline.fork``: one warm-up, two identical machines.
 
-The closed-loop experiment warms one machine and forks it: the
-free-running run goes on the original, the controlled run on the copy.
+The closed-loop experiment warms one machine and, when it runs both of
+its runs in one process, forks it: the free-running run goes on the
+copy, the controlled run on the original.
 That is sound only if the copy is exact and shares no mutable state, so
 each case runs the original to the end first and only then its fork,
 through the simulator's one cycle loop, and compares everything either
