@@ -26,10 +26,14 @@ Subpackages
     on-disk result cache.
 """
 
+import time as _time
+
+# Wall and CPU clocks when this package began to import: the start of
+# the ``process.import`` span that ``repro.cli.main`` emits.
+_IMPORT_STARTED = (_time.perf_counter(), _time.process_time())
+
 # Version first: repro.pipeline folds it into cache keys at import time.
 __version__ = "1.0.0"
-
-from . import core, errors, pipeline, power, stats, uarch, wavelets, workloads
 
 __all__ = [
     "core",
@@ -41,3 +45,17 @@ __all__ = [
     "wavelets",
     "workloads",
 ]
+
+
+def __getattr__(name: str):
+    # Subpackages load on first use, so a command imports only what it
+    # runs: ``repro control`` never loads ``repro.pipeline``.
+    if name in __all__:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

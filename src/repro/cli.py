@@ -57,13 +57,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 import traceback
 
 import numpy as np
 
 from .errors import ReproError, SpecError, UsageError
 
-from . import obs, viz
+from . import _IMPORT_STARTED, obs, viz
 from .core import (
     AnalogVoltageSensor,
     FullConvolutionMonitor,
@@ -1339,6 +1340,8 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "obs_path", None),
             profile_interval=obs_profile,
         )
+        (t0, cpu0), (t1, cpu1, modules) = _IMPORT_STARTED, _IMPORTED
+        obs.past_span("process.import", t0, t1, cpu1 - cpu0, modules=modules)
         if obs_listen:
             try:
                 host, port = obs.parse_listen(obs_listen)
@@ -1447,3 +1450,9 @@ def _dispatch(args) -> int:
             )
         )
     return EXIT_OK
+
+
+# The end of this module's import, with the module count it left: the
+# ``process.import`` span that ``main`` emits runs from the top of
+# ``repro/__init__`` to here.
+_IMPORTED = (time.perf_counter(), time.process_time(), len(sys.modules))

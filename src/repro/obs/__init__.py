@@ -72,6 +72,7 @@ from .trace import (
     histogram_observe,
     mode,
     open_spans,
+    past_span,
     profile_interval,
     propagation_context,
     registry,
@@ -115,6 +116,7 @@ __all__ = [
     "new_trace_id",
     "open_spans",
     "parse_listen",
+    "past_span",
     "profile_interval",
     "propagation_context",
     "read_resources",

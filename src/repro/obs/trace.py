@@ -57,6 +57,7 @@ __all__ = [
     "histogram_observe",
     "mode",
     "open_spans",
+    "past_span",
     "profile_interval",
     "propagation_context",
     "registry",
@@ -482,6 +483,10 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.cpu_s = time.process_time() - self._cpu_start
         self.wall_s = max(time.time() - self.t_start, 0.0)
+        self._close(exc_type)
+
+    def _close(self, exc_type) -> None:
+        """Pop this span and emit its record from the times it holds."""
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()
@@ -555,6 +560,23 @@ def span(name: str, **attrs):
     if not ENABLED:
         return _NULL_SPAN
     return Span(name, attrs)
+
+
+def past_span(name: str, start: float, end: float, cpu_s: float, **attrs) -> None:
+    """Emit a span for a block that ran before observability was on.
+
+    ``start`` and ``end`` are ``time.perf_counter()`` readings and
+    ``cpu_s`` the block's CPU time; the record's wall-clock start is
+    ``start`` carried over to ``time.time()``.  No-op when disabled.
+    """
+    if not ENABLED:
+        return
+    done = Span(name, attrs)
+    done.__enter__()
+    done.t_start = time.time() - (time.perf_counter() - start)
+    done.wall_s = max(end - start, 0.0)
+    done.cpu_s = cpu_s
+    done._close(None)
 
 
 def current_span():

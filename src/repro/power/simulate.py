@@ -19,7 +19,6 @@ same physics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .impulse import biquad_coefficients, default_tap_count, impulse_response
 from .network import PowerSupplyNetwork
@@ -42,6 +41,8 @@ def fft_convolve(x: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
     result is bit-identical to it, without importing ``scipy.signal``.
     ``h`` broadcasts against ``x`` on every other axis.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     if x.size == 0 or h.size == 0:

@@ -11,18 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 __all__ = ["normal_cdf", "normal_quantile", "GaussianModel"]
 
 
 def normal_cdf(x: np.ndarray | float) -> np.ndarray | float:
     """Standard normal CDF ``Phi(x)``."""
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(np.asarray(x, dtype=float) / np.sqrt(2.0)))
 
 
 def normal_quantile(p: np.ndarray | float) -> np.ndarray | float:
     """Inverse standard normal CDF."""
+    from scipy.special import erfinv
+
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile probability must be in (0, 1)")

@@ -1,11 +1,15 @@
-"""No cold path imports ``scipy.signal``, ``scipy.stats`` or ``scipy.sparse``.
+"""Each cold path imports only what it uses.
 
-Those three packages cost over a second to import and none of them is
-needed to characterize a benchmark, rescan a stored trace or run the
-closed loop.  A fresh interpreter imports the CLI, then runs each cold
-path in process, and reports which of the three are in ``sys.modules``
-after every step.  The gate is deterministic: it counts modules, never
-seconds.
+``scipy.signal``, ``scipy.stats`` and ``scipy.sparse`` cost over a
+second to import and no cold path needs them.  ``scipy.fft``,
+``scipy.special`` and ``repro.pipeline`` are needed only to
+characterize: ``import repro.cli``, calibration and the §5 closed loop
+load none of them, while ``import repro.pipeline`` loads both SciPy
+modules at once, so that pool workers forked later inherit them.
+
+A fresh interpreter runs each step in process and reports which of
+these modules are in ``sys.modules`` after it.  The gate is
+deterministic: it counts modules, never seconds.
 """
 
 import json
@@ -14,21 +18,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.sparse")
+SCIPY = ("scipy.fft", "scipy.special")
+LAZY = (*SCIPY, "repro.pipeline")
 
 PROGRAM = """
 import json
 import sys
 
-HEAVY = {heavy!r}
+WATCHED = {watched!r}
 root = sys.argv[1]
 loaded = {{}}
 
 
 def check(step):
-    loaded[step] = [name for name in HEAVY if name in sys.modules]
+    loaded[step] = [name for name in WATCHED if name in sys.modules]
 
 
 import repro.cli
@@ -43,16 +51,28 @@ from repro.core import (
     calibrated_supply,
     run_control_experiment,
 )
+
+network = calibrated_supply(150)
+check("calibrated_supply")
+
+
+def factory():
+    return ThresholdController(WaveletVoltageMonitor(network, terms=13), network, 0.01)
+
+
+run_control_experiment("gzip", network, factory, cycles=2048, warmup_cycles=256)
+check("control experiment")
+
 from repro.pipeline import (
     BatchOptions,
     build_characterization_jobs,
     build_store_jobs,
     submit,
 )
-from repro.store import TraceStore
 
-network = calibrated_supply(150)
-check("calibrated_supply")
+check("import repro.pipeline")
+
+from repro.store import TraceStore
 
 specs = build_characterization_jobs(["gzip"], network, cycles=2048)
 batch = submit(specs, BatchOptions(jobs=0, cache_dir=root + "/sweep"))
@@ -66,37 +86,114 @@ specs = build_store_jobs(store, network, trace_ids=[trace_id])
 batch = submit(specs, BatchOptions(jobs=0, cache_dir=root + "/rescan"))
 assert batch.outcomes[0].ok, batch.outcomes[0].error
 check("store job")
+print(json.dumps(loaded))
+"""
 
+STEPS = [
+    "import repro.cli",
+    "calibrated_supply",
+    "control experiment",
+    "import repro.pipeline",
+    "characterization job",
+    "store job",
+]
 
-def factory():
-    return ThresholdController(WaveletVoltageMonitor(network, terms=13), network, 0.01)
+#: The commands that neither characterize nor compute a voltage trace.
+COMMANDS = """
+import contextlib
+import io
+import json
+import sys
 
+from repro.cli import main
 
-run_control_experiment("gzip", network, factory, cycles=2048, warmup_cycles=256)
-check("control experiment")
+loaded = {}
+for argv in (
+    ["control", "mgrid", "--cycles", "4096"],
+    ["simulate", "gzip", "--cycles", "4096"],
+    ["breakdown", "gzip", "--cycles", "4096"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded[argv[0]] = sorted(
+        name
+        for name in sys.modules
+        if name.split(".")[0] == "scipy" or name == "repro.pipeline"
+    )
+print(json.dumps(loaded))
+"""
+
+LAZY_PACKAGE = """
+import json
+import sys
+
+import repro
+
+loaded = {"import repro": "repro.pipeline" in sys.modules}
+pipeline = repro.pipeline
+loaded["repro.pipeline"] = [pipeline.__name__, "repro.pipeline" in sys.modules]
+namespace = {}
+exec("from repro import *", namespace)
+loaded["star"] = sorted(name for name in repro.__all__ if name in namespace)
+loaded["all"] = sorted(repro.__all__)
+loaded["dir"] = dir(repro)
+try:
+    repro.nope
+except AttributeError as exc:
+    loaded["nope"] = str(exc)
 print(json.dumps(loaded))
 """
 
 
-def test_cold_paths_leave_heavy_scipy_unimported(tmp_path):
+def run_fresh(program: str, *args: str) -> dict:
+    """Run ``program`` in a fresh interpreter; its last stdout line as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM.format(heavy=HEAVY), str(tmp_path)],
+        [sys.executable, "-c", program, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert list(loaded) == [
-        "import repro.cli",
-        "calibrated_supply",
-        "characterization job",
-        "store job",
-        "control experiment",
-    ]
-    assert loaded == {step: [] for step in loaded}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The watched modules present after each step of ``PROGRAM``."""
+    root = tmp_path_factory.mktemp("cold")
+    loaded = run_fresh(PROGRAM.format(watched=HEAVY + LAZY), str(root))
+    assert list(loaded) == STEPS
+    return loaded
+
+
+def test_cold_paths_leave_heavy_scipy_unimported(loaded):
+    for step, names in loaded.items():
+        assert not set(HEAVY) & set(names), (step, names)
+
+
+def test_only_the_pipeline_loads_fft_and_special(loaded):
+    for step in STEPS[:3]:
+        assert loaded[step] == [], step
+    # the pipeline loads both SciPy modules at import, before any pool
+    # forks, so its workers never import them inside a job
+    for step in STEPS[3:]:
+        assert set(SCIPY) <= set(loaded[step]), (step, loaded[step])
+
+
+def test_commands_without_characterization_load_no_scipy():
+    loaded = run_fresh(COMMANDS)
+    assert loaded == {"control": [], "simulate": [], "breakdown": []}
+
+
+def test_subpackages_load_on_first_use():
+    loaded = run_fresh(LAZY_PACKAGE)
+    assert loaded["import repro"] is False
+    assert loaded["repro.pipeline"] == ["repro.pipeline", True]
+    assert loaded["star"] == loaded["all"]
+    assert set(loaded["all"]) <= set(loaded["dir"])
+    assert "'nope'" in loaded["nope"]
