@@ -212,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs_opts = _obs_options()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available benchmark models")
+    sub.add_parser(
+        "list", help="list available benchmark models", parents=[obs_opts]
+    )
 
     sim = sub.add_parser(
         "simulate", help="simulate one benchmark", parents=[obs_opts]
@@ -335,9 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="characterize stored traces from this trace-store "
                            "directory (zero-copy attach) instead of "
                            "re-simulating; --benchmarks filters the corpus")
-    pstat = psub.add_parser("status", help="show result-cache contents")
+    pstat = psub.add_parser(
+        "status", help="show result-cache contents", parents=[obs_opts]
+    )
     pstat.add_argument("--cache-dir", default=".repro-cache")
-    pclear = psub.add_parser("clear", help="delete every cache entry")
+    pclear = psub.add_parser(
+        "clear", help="delete every cache entry", parents=[obs_opts]
+    )
     pclear.add_argument("--cache-dir", default=".repro-cache")
 
     scen = sub.add_parser(
@@ -346,10 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scsub = scen.add_subparsers(dest="scenario_command", required=True)
     scsub.add_parser(
-        "ls", help="list atomic stress profiles and catalog scenarios"
+        "ls",
+        help="list atomic stress profiles and catalog scenarios",
+        parents=[obs_opts],
     )
     scshow = scsub.add_parser(
-        "show", help="describe one scenario, profile or expression"
+        "show",
+        help="describe one scenario, profile or expression",
+        parents=[obs_opts],
     )
     scshow.add_argument("name", metavar="NAME",
                         help="catalog scenario, atomic profile, or "

@@ -411,8 +411,10 @@ class PipelineExecutor:
 
         ``progress``, if given, is called with each :class:`JobOutcome`
         as it is collected (submission order inline, completion order
-        under the supervised pool).  ``resume`` pre-scans the cache and
-        loads fully-cached jobs without occupying the pool.
+        under the supervised pool, which starts jobs in the order its
+        cost plan sets, :func:`~repro.pipeline.supervisor.plan_dispatch`).
+        ``resume`` pre-scans the cache and loads fully-cached jobs
+        without occupying the pool.
         """
         specs = list(specs)
         t0 = time.perf_counter()

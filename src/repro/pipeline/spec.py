@@ -28,6 +28,8 @@ from .. import __version__
 from ..errors import SpecError
 from ..power import PowerSupplyNetwork
 from ..store.ref import TraceRef
+from ..uarch.config import TABLE_1
+from ..workloads.spec import SPEC2000, WorkloadProfile
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -36,6 +38,7 @@ __all__ = [
     "STORE_STAGES",
     "SCENARIO_STAGES",
     "JobSpec",
+    "simulation_weight",
     "serialize_network",
     "deserialize_network",
     "trace_identity",
@@ -64,6 +67,44 @@ STORE_STAGES = ("load_trace", "voltage", "characterize")
 #: The same chain fed from a compiled stress scenario
 #: (:mod:`repro.scenarios`) instead of a single benchmark simulation.
 SCENARIO_STAGES = ("scenario", "voltage", "characterize")
+
+
+#: Fast-forwarded cycles per instruction that a code footprint far beyond
+#: the L1 I-cache adds (fetch stalls on refills from L2); fitted to gcc's
+#: 512 KB loop nest, the one model whose code does not fit.
+ICACHE_SKIP_PER_INST = 0.07
+
+
+def simulation_weight(profile: WorkloadProfile) -> float:
+    """Simulator work per simulated cycle of ``profile`` on the Table 1
+    machine, from its phase mix.
+
+    The work of a run is the cycles the simulator ticks plus the
+    instructions it commits; the cycles it fast-forwards cost next to
+    nothing.  A CPI stack per phase splits each instruction's cycles into
+    ticked ones (``1/width``, stretched towards one cycle by the
+    dependent-chain share) and skipped ones: the L2 misses of its cold
+    accesses, overlapped at most an RUU's worth at a time, and the
+    redirect after a mispredicted data-dependent branch (half of the
+    50/50 ones).  Phases weigh by their mean length in instructions.
+    """
+    config = TABLE_1
+    total = sum(phase.duration for phase in profile.phases)
+    inverse_width = 1 / config.issue_width
+    miss_cap = config.memory_latency / config.ruu_size
+    ticked = skipped = 0.0
+    for phase in profile.phases:
+        share = phase.duration / total
+        cold = (phase.load_fraction + phase.store_fraction) * phase.cold
+        mispredicts = phase.branch_fraction * phase.hard_branch / 2
+        ticked += share * (inverse_width + phase.serial * (1 - inverse_width))
+        skipped += share * (
+            min(cold * config.memory_latency, miss_cap)
+            + mispredicts * config.branch_penalty
+        )
+    overflow = max(0.0, 1 - config.l1i.size_bytes / profile.code_bytes)
+    skipped += overflow * ICACHE_SKIP_PER_INST
+    return (ticked + 1) / (ticked + skipped)
 
 
 def serialize_network(network: PowerSupplyNetwork) -> tuple[tuple[str, float], ...]:
@@ -229,6 +270,23 @@ class JobSpec:
         if self.impedance is not None:
             return f"{self.benchmark}@{self.impedance:.0f}%"
         return self.benchmark
+
+    def cost_hint(self) -> float:
+        """This job's expected cost relative to the others of its batch.
+
+        The supervised pool plans its dispatch on it.  It comes from the
+        spec alone, never from a timing, so the same batch always gets the
+        same plan: a store-ref job costs its samples, a scenario job its
+        cycles, and a simulated job its simulated cycles (warm-up
+        included) times its profile's :func:`simulation_weight`.
+        """
+        if self.trace is not None:
+            return float(self.resolve_trace_ref().samples)
+        if self.param("scenario") is not None:
+            return float(self.cycles)
+        profile = SPEC2000.get(self.benchmark)
+        weight = 1.0 if profile is None else simulation_weight(profile)
+        return (self.cycles + self.warmup_cycles) * weight
 
     def obs_attrs(self) -> dict:
         """Span attributes identifying this job in telemetry."""

@@ -8,7 +8,10 @@ degrades badly when a worker dies — this pool is supervised directly:
   since when, and its own result pipe, so a worker killed mid-write can
   only break its own channel (a queue shared by every worker stays
   locked forever when its writer dies holding the lock);
-* the parent's event loop dispatches eligible jobs to idle workers,
+* the parent plans the batch before dispatching it
+  (:func:`plan_dispatch`: each job's :meth:`~JobSpec.cost_hint` puts it
+  on one worker's queue, so the queues carry equal work), then its event
+  loop hands each idle worker its next job (:class:`DispatchQueues`),
   collects results, enforces per-job wall-clock deadlines (a hung worker
   is SIGKILLed and its job requeued), detects dead workers (the job is
   requeued, the pool replenished) and applies the retry policy's
@@ -27,6 +30,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
+from collections import deque
 from multiprocessing.connection import wait
 
 from ..errors import RetryExhaustedError, StageTimeoutError, WorkerCrashError
@@ -35,11 +39,71 @@ from .cache import ResultCache
 from .executor import JobOutcome, RetryPolicy, _pool_context, execute_job, note_retry
 from .spec import JobSpec
 
-__all__ = ["run_supervised"]
+__all__ = ["DispatchQueues", "plan_dispatch", "run_supervised"]
 
 #: Event-loop tick: the longest the parent sleeps before re-checking
 #: deadlines, eligibility and worker liveness.
 TICK_S = 0.05
+
+
+def plan_dispatch(costs: list[float], workers: int) -> list[list[int]]:
+    """Split jobs of the given ``costs`` over ``workers`` queues.
+
+    Longest processing time first: each job, the costliest first, goes
+    to the queue with the least cost so far, so the queues end up near
+    equal.  Each queue is then ordered shortest-first, so short jobs
+    finish early while the long ones still run.  Ties go by submission
+    position (the job) and by queue number (the queue).  Returns one
+    list of positions into ``costs`` per worker.
+    """
+    queues: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0.0] * workers
+    for position in sorted(range(len(costs)), key=lambda p: (-costs[p], p)):
+        slot = min(range(workers), key=lambda k: (loads[k], k))
+        queues[slot].append(position)
+        loads[slot] += costs[position]
+    return [sorted(queue, key=lambda p: (costs[p], p)) for queue in queues]
+
+
+class DispatchQueues:
+    """Which job each worker slot takes next, from a :func:`plan_dispatch`.
+
+    An idle slot takes, in this order: a requeued retry (oldest first);
+    the head of its own queue; else it steals the costliest unstarted job
+    from the queue with the most planned cost left.  A slot is a position
+    in the pool, so a replacement worker keeps its slot's queue.
+    """
+
+    def __init__(self, costs: dict[int, float], workers: int) -> None:
+        order = list(costs)
+        plan = plan_dispatch([costs[index] for index in order], workers)
+        self.costs = costs
+        self._queues = [deque(order[p] for p in queue) for queue in plan]
+        self._retries: deque[int] = deque()
+
+    def requeue(self, index: int) -> None:
+        """Put a failed job back, ahead of every planned one."""
+        self._retries.append(index)
+
+    def take(self, slot: int) -> tuple[int, bool] | None:
+        """The next job index for ``slot`` and whether it was stolen, or
+        ``None`` when nothing is left to start."""
+        if self._retries:
+            return self._retries.popleft(), False
+        if self._queues[slot]:
+            return self._queues[slot].popleft(), False
+        left = [sum(self.costs[i] for i in queue) for queue in self._queues]
+        victim = max(
+            (k for k, queue in enumerate(self._queues) if queue),
+            key=lambda k: (left[k], -k),
+            default=None,
+        )
+        if victim is None:
+            return None
+        queue = self._queues[victim]
+        index = max(queue, key=lambda i: (self.costs[i], -i))
+        queue.remove(index)
+        return index, True
 
 
 def _worker_main(
@@ -134,7 +198,9 @@ def run_supervised(
     ctx = _pool_context()
     obs_enabled = obs.ENABLED
     jobs = {index: _JobState(spec) for index, spec in indexed_specs}
-    ready: list[int] = [index for index, _ in indexed_specs]
+    queues = DispatchQueues(
+        {index: spec.cost_hint() for index, spec in indexed_specs}, workers
+    )
     waiting: list[tuple[float, int]] = []  # (eligible_at, index) heap
     open_jobs = len(jobs)
     pool = [
@@ -197,15 +263,32 @@ def run_supervised(
         while open_jobs:
             now = time.monotonic()
             while waiting and waiting[0][0] <= now:
-                ready.append(heapq.heappop(waiting)[1])
-            for worker in pool:
-                if worker.job_index is None and ready:
-                    index = ready.pop(0)
-                    state = jobs[index]
-                    state.attempt += 1
-                    worker.dispatch(
-                        index, state.spec, state.attempt, trace_ctx
+                queues.requeue(heapq.heappop(waiting)[1])
+            for slot, worker in enumerate(pool):
+                if worker.job_index is not None:
+                    continue
+                taken = queues.take(slot)
+                if taken is None:
+                    break  # nothing left to start until a retry is due
+                index, stolen = taken
+                state = jobs[index]
+                state.attempt += 1
+                if stolen:
+                    obs.counter_inc(
+                        "pipeline_steals_total",
+                        1,
+                        "jobs an idle worker took from another worker's "
+                        "planned queue",
                     )
+                obs.event(
+                    "job_dispatch",
+                    job=state.spec.label,
+                    attempt=state.attempt,
+                    slot=slot,
+                    cost_hint=round(queues.costs[index], 3),
+                    stolen=stolen,
+                )
+                worker.dispatch(index, state.spec, state.attempt, trace_ctx)
 
             # Sleep until something can happen: a result, a deadline
             # expiring, or a backoff elapsing.

@@ -8,15 +8,21 @@ store-backed batch silently disagree with the run that filled the cache.
 """
 
 import hashlib
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.core import calibrated_supply
+from repro.obs import load_records
 from repro.pipeline import (
     BatchOptions,
+    JobSpec,
     build_characterization_jobs,
     build_store_jobs,
+    predictions_from,
     stage_cache_keys,
     submit,
 )
@@ -57,6 +63,46 @@ def test_inline_and_pool_write_identical_trees(specs, tmp_path):
     pooled = _run(specs, tmp_path / "jobs2", jobs=2)
     assert len(inline) == len(specs) * len(specs[0].stages)
     assert inline == pooled
+
+
+def _records(path: Path) -> Counter:
+    """The log's span and event records without times, ids or pids; a
+    ``job_dispatch`` event keeps only which job and attempt it started."""
+    kept = []
+    for r in load_records(path):
+        if r["type"] not in ("span", "event"):
+            continue
+        attrs = r["attrs"]
+        if r["name"] == "job_dispatch":
+            attrs = {"job": attrs["job"], "attempt": attrs["attempt"]}
+        kept.append(
+            (r["type"], r["name"], r.get("parent"), json.dumps(attrs, sort_keys=True))
+        )
+    return Counter(kept)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_dispatch_plan_changes_no_output(specs, tmp_path, monkeypatch, jobs):
+    """Planned dispatch against equal hints (the pool then deals jobs
+    out in submission order): the same outcomes, cache tree and set of
+    telemetry records."""
+    runs = []
+    for plan in ("planned", "unplanned"):
+        if plan == "unplanned":
+            monkeypatch.setattr(JobSpec, "cost_hint", lambda self: 1.0)
+        log = tmp_path / f"{plan}.jsonl"
+        obs.enable("jsonl", str(log))
+        try:
+            batch = submit(
+                specs, BatchOptions(cache_dir=str(tmp_path / plan), jobs=jobs)
+            )
+        finally:
+            obs.disable()
+        stats = [o.artifacts["simulate"].stats for o in batch.outcomes]
+        runs.append(
+            (predictions_from(batch), stats, _tree(tmp_path / plan), _records(log))
+        )
+    assert runs[0] == runs[1]
 
 
 def test_warm_rerun_leaves_the_tree_unchanged(specs, tmp_path):

@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -42,6 +45,59 @@ class TestParser:
             ["characterize", "gcc", "--threshold", "0.96"]
         )
         assert args.threshold == 0.96
+
+
+#: Leaves that take ``--obs`` only before the subcommand: they read or
+#: serve a recorded log instead of producing telemetry of their own.
+#: docs/OBSERVABILITY.md lists the same ones.
+OBS_EXEMPT = (("obs", "report"), ("obs", "chrome"), ("obs", "serve"))
+
+
+def _leaves(parser, path=()):
+    """(path, parser) of every subcommand that has no subcommands."""
+    actions = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not actions:
+        yield path, parser
+        return
+    for name, child in actions[0].choices.items():
+        yield from _leaves(child, (*path, name))
+
+
+class TestObsAfterSubcommand:
+    def test_every_leaf_takes_obs_unless_listed(self):
+        leaves = dict(_leaves(build_parser()))
+        assert set(OBS_EXEMPT) <= set(leaves)
+        missing = [
+            " ".join(path)
+            for path, leaf in leaves.items()
+            if path not in OBS_EXEMPT
+            and "--obs" not in leaf._option_string_actions
+        ]
+        assert not missing, f"leaves without --obs: {missing}"
+
+    def test_exempt_leaves_are_documented(self):
+        doc = (
+            Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+        ).read_text()
+        for path in OBS_EXEMPT:
+            assert f"`repro {' '.join(path)}`" in doc, path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["list"],
+            ["pipeline", "status"],
+            ["pipeline", "clear"],
+            ["scenario", "ls"],
+            ["scenario", "show", "burst-train"],
+        ],
+    )
+    def test_obs_after_the_subcommand_parses(self, argv):
+        args = build_parser().parse_args([*argv, "--obs", "summary"])
+        assert args.obs == "summary"
 
 
 class TestCommands:
