@@ -132,10 +132,11 @@ def stage_cache_keys(spec: JobSpec) -> dict[str, str]:
     return keys
 
 
-# Process-level estimator memo: calibrating scale factors costs a
-# stressmark-sized simulation, and every job against the same network
-# shares the result (exactly as the figure code shared one estimator).
-_ESTIMATORS: dict[tuple, WaveletVoltageEstimator] = {}
+# Process-level memo of the heavy objects every job against one network
+# shares, keyed by kind and network: calibrating an estimator costs a
+# stressmark-sized simulation (the figure code likewise shared one), and a
+# voltage engine keeps its kernel's spectrum from one trace to the next.
+_SHARED: dict[tuple, object] = {}
 
 
 class StageContext:
@@ -155,20 +156,37 @@ class StageContext:
     def network(self):
         return self.spec.resolve_network()
 
+    @staticmethod
+    def _shared(key: tuple, build: Callable[[], object], counter: str, doc: str):
+        """``_SHARED[key]``, built (and counted in ``counter``) on a miss."""
+        if key not in _SHARED:
+            _SHARED[key] = build()
+            obs.counter_inc(counter, 1, doc)
+        return _SHARED[key]
+
     @property
     def estimator(self) -> WaveletVoltageEstimator:
-        key = (self.spec.network, self.spec.window)
-        if key not in _ESTIMATORS:
+        def build():
             with obs.span("pipeline.calibrate", window=self.spec.window):
-                _ESTIMATORS[key] = WaveletVoltageEstimator(
+                return WaveletVoltageEstimator(
                     self.network, window=self.spec.window
                 )
-            obs.counter_inc(
-                "pipeline_estimator_builds_total",
-                1,
-                "cold wavelet-estimator calibrations (memo misses)",
-            )
-        return _ESTIMATORS[key]
+
+        return self._shared(
+            ("estimator", self.spec.network, self.spec.window),
+            build,
+            "pipeline_estimator_builds_total",
+            "cold wavelet-estimator calibrations (memo misses)",
+        )
+
+    @property
+    def voltage_engine(self) -> ConvolutionVoltageSimulator:
+        return self._shared(
+            ("voltage", self.spec.network),
+            lambda: ConvolutionVoltageSimulator(self.network),
+            "pipeline_voltage_engine_builds_total",
+            "convolution voltage engines built (memo misses)",
+        )
 
     def simulation(self):
         """The upstream simulation artifact (most stages' input)."""
@@ -299,7 +317,7 @@ def _stage_load_trace(ctx: StageContext):
 @register_stage("voltage", fields=("network", "threshold"))
 def _stage_voltage(ctx: StageContext):
     """Convolution-simulated supply voltage: the §4 ground truth."""
-    sim = ConvolutionVoltageSimulator(ctx.network)
+    sim = ctx.voltage_engine
     current = ctx.current_trace()
     voltage = sim.voltage(current)[min(sim.taps, len(current) // 4) :]
     return {

@@ -5,7 +5,10 @@ Two equivalent engines:
 * :class:`ConvolutionVoltageSimulator` — the offline "truth" used for all
   characterization experiments: FFT convolution of the whole current trace
   with the finite impulse-response kernel, exactly the direct application
-  of Eq. 6 the paper uses to simulate voltage levels.
+  of Eq. 6 the paper uses to simulate voltage levels.  It keeps its
+  kernel's spectrum for the last FFT size it used, so a trace costs two
+  transforms (its own and the inverse), bit-identical to
+  :func:`fft_convolve`.
 * :class:`StreamingVoltageModel` — the same second-order system as a
   two-pole recursion advanced one cycle at a time, used inside the online
   control loop where the controller's stall/no-op decisions feed back into
@@ -60,6 +63,13 @@ def fft_convolve(x: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
 class ConvolutionVoltageSimulator:
     """Offline whole-trace voltage computation (Eq. 6).
 
+    :meth:`droop` is ``fft_convolve(current, kernel)[:n]`` bit for bit,
+    with the same transforms, FFT size and product, but it transforms
+    only the trace: the kernel's spectrum at the last FFT size used is
+    kept (one entry, so an engine holds at most one spectrum), and a
+    trace of ``n`` samples costs one forward and one inverse transform
+    of ``next_fast_len(n + taps - 1)`` points.
+
     Parameters
     ----------
     network:
@@ -72,15 +82,41 @@ class ConvolutionVoltageSimulator:
         self.network = network
         self.taps = default_tap_count(network) if taps is None else taps
         self.kernel = impulse_response(network, self.taps)
+        self._kept: tuple[int, np.ndarray] | None = None
+
+    def _kernel_spectrum(self, size: int) -> np.ndarray:
+        """``rfft(kernel, size)``, computed once per change of ``size``."""
+        from scipy.fft import rfft
+
+        kept = self._kept
+        if kept is None or kept[0] != size:
+            kept = (size, rfft(np.asarray(self.kernel, dtype=float), size))
+            self._kept = kept
+        return kept[1]
 
     def droop(self, current: np.ndarray) -> np.ndarray:
         """Voltage droop ``(h * i)(t)`` for each cycle of ``current``."""
-        i = np.asarray(current, dtype=float)
+        from scipy.fft import irfft, next_fast_len, rfft
+
+        i = np.asarray(current)
         if i.ndim != 1:
             raise ValueError("current trace must be 1-D")
-        if len(i) == 0:
+        n = len(i)
+        if n == 0:
             return np.empty(0)
-        return fft_convolve(i, self.kernel)[: len(i)]
+        if n == 1 or self.taps == 1:
+            # a length-1 operand is a plain product, as fft_convolve
+            # computes it
+            return fft_convolve(i, self.kernel)[:n]
+        size = next_fast_len(n + self.taps - 1, real=True)
+        # the one float64 copy of the trace, already zero-padded, so
+        # SciPy makes no padded copy of its own
+        padded = np.zeros(size)
+        padded[:n] = i
+        spectrum = rfft(padded, overwrite_x=True)
+        del padded  # freed before irfft allocates its output
+        spectrum *= self._kernel_spectrum(size)
+        return irfft(spectrum, size)[:n]
 
     def voltage(self, current: np.ndarray) -> np.ndarray:
         """Per-cycle supply voltage ``vdd - droop``."""

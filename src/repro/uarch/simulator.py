@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 import numpy as np
 
 from ..obs import trace as obs
-from ..workloads.generator import generate, prewarm_caches
+from ..workloads import generator
 from ..workloads.spec import WorkloadProfile, get_profile
 from .config import ProcessorConfig, TABLE_1
 from .events import RunStatistics
@@ -176,8 +176,8 @@ def _warm_pipeline(
     """A machine with pre-warmed caches, run ``warmup_cycles`` unrecorded
     (the SimPoint interval's preamble), its statistics and breakdown then
     restarted; ``options`` go to :class:`Pipeline`."""
-    pipe = Pipeline(config, iter(generate(benchmark, seed)), **options)
-    prewarm_caches(pipe.caches, benchmark)
+    pipe = Pipeline(config, iter(generator.generate(benchmark, seed)), **options)
+    generator.prewarm_caches(pipe.caches, benchmark)
     _run_cycles(pipe, warmup_cycles)
     pipe.stats = RunStatistics()
     pipe.reset_breakdown()

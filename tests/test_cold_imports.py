@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import repro
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.sparse")
@@ -197,3 +199,19 @@ def test_subpackages_load_on_first_use():
     assert loaded["star"] == loaded["all"]
     assert set(loaded["all"]) <= set(loaded["dir"])
     assert "'nope'" in loaded["nope"]
+
+
+#: Subpackages outside ``repro.__all__`` that a caller may still import
+#: first (``repro.scenarios`` once failed on a circular import).
+OTHER_SUBPACKAGES = ("kernels", "obs", "scenarios", "serve", "store")
+
+
+@pytest.mark.parametrize("name", [*repro.__all__, *OTHER_SUBPACKAGES])
+def test_each_subpackage_imports_first(name):
+    # the first ``repro`` import of a fresh interpreter, so an import
+    # cycle that a different first import would hide fails here
+    loaded = run_fresh(
+        f"import json, sys; import repro.{name}; "
+        f"print(json.dumps('repro.{name}' in sys.modules))"
+    )
+    assert loaded is True
