@@ -80,6 +80,7 @@ from .trace import (
     set_trace_context,
     span,
     span_collector,
+    under,
     worker_mode,
 )
 
@@ -130,6 +131,7 @@ __all__ = [
     "span_collector",
     "span_tree",
     "summary_table",
+    "under",
     "worker_mode",
     "write_chrome_trace",
 ]

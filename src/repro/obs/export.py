@@ -20,6 +20,7 @@ Four consumers of the same telemetry:
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 from .registry import MetricsRegistry
@@ -34,23 +35,29 @@ __all__ = [
 
 
 class JsonlWriter:
-    """Append-only JSON-lines record sink."""
+    """Append-only JSON-lines record sink.
+
+    Safe to share between threads: each record is one whole line.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w", encoding="utf-8")
+        self._lock = threading.Lock()
         self.records = 0
 
     def write(self, record: dict) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        # flush per record: forked workers must never inherit buffered
-        # lines (their exit-time flush would duplicate them in the log)
-        self._fh.flush()
-        self.records += 1
+        line = json.dumps(record, sort_keys=True, default=str) + "\n"
+        with self._lock:
+            if self._fh is None:
+                return
+            self._fh.write(line)
+            # flush per record: forked workers must never inherit
+            # buffered lines (their exit-time flush would duplicate them)
+            self._fh.flush()
+            self.records += 1
 
     def close(self) -> None:
         if self._fh is not None:
@@ -189,6 +196,7 @@ def chrome_trace(records: list[dict]) -> dict:
             )
             if r.get("rss_peak_bytes"):
                 args["rss_peak_bytes"] = r["rss_peak_bytes"]
+            args.update(r.get("measures") or {})
             events.append(
                 {
                     "name": r["name"],

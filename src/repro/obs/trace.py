@@ -10,7 +10,9 @@ With observability on:
 
 * ``span("stage.simulate", benchmark="gzip")`` times a block (wall and
   CPU), nests via a per-thread stack into a per-run trace tree, and on
-  exit feeds a span record to the active exporter;
+  exit feeds a span record to the active exporter; ``under(job_span)``
+  hangs the root spans of a helper thread under a live span of the
+  thread that started it;
 * every span carries a ``span_id`` / ``parent_id`` under the run's
   ``trace_id`` (see :mod:`repro.obs.context`), so records from many
   processes merge into one causal tree;
@@ -65,6 +67,7 @@ __all__ = [
     "set_trace_context",
     "span",
     "span_collector",
+    "under",
     "worker_mode",
 ]
 
@@ -438,6 +441,7 @@ class Span:
         "wall_s",
         "cpu_s",
         "rss_peak",
+        "measures",
         "_cpu_start",
     )
 
@@ -454,11 +458,24 @@ class Span:
         self.wall_s = 0.0
         self.cpu_s = 0.0
         self.rss_peak = 0  # peak RSS bytes sampled while open (profiler)
+        self.measures: dict | None = None
         self._cpu_start = 0.0
 
     def set(self, **attrs) -> None:
         """Attach attributes mid-flight (e.g. a result count)."""
         self.attrs.update(attrs)
+
+    def measure(self, **values) -> None:
+        """Attach measured values (seconds, bytes) to the span's record.
+
+        They land in the record's ``measures`` object, beside
+        ``wall_s`` and ``cpu_s``, not in ``attrs``: attributes say what
+        the span is about and repeat exactly from run to run, while
+        measurements vary with the machine.
+        """
+        if self.measures is None:
+            self.measures = {}
+        self.measures.update(values)
 
     def __enter__(self) -> "Span":
         global _TRACE_ID
@@ -467,8 +484,8 @@ class Span:
         self.trace_id = _TRACE_ID
         self.span_id = new_span_id()
         stack = _stack()
-        if stack:
-            parent = stack[-1]
+        parent = stack[-1] if stack else getattr(_LOCAL, "adopted", None)
+        if parent is not None:
             self.depth = parent.depth + 1
             self.parent_name = parent.name
             self.parent_id = parent.span_id
@@ -515,6 +532,8 @@ class Span:
         }
         if self.rss_peak:
             record["rss_peak_bytes"] = int(self.rss_peak)
+        if self.measures:
+            record["measures"] = self.measures
         _emit(record)
 
     def tree(self, indent: int = 0) -> str:
@@ -540,6 +559,9 @@ class _NullSpan:
     parent_id: str | None = None
 
     def set(self, **attrs) -> None:
+        pass
+
+    def measure(self, **values) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":
@@ -577,6 +599,38 @@ def past_span(name: str, start: float, end: float, cpu_s: float, **attrs) -> Non
     done.wall_s = max(end - start, 0.0)
     done.cpu_s = cpu_s
     done._close(None)
+
+
+class _Adoption:
+    """While open, this thread's root spans parent on ``parent``."""
+
+    __slots__ = ("parent", "_before")
+
+    def __init__(self, parent: Span) -> None:
+        self.parent = parent
+        self._before = None
+
+    def __enter__(self) -> Span:
+        self._before = getattr(_LOCAL, "adopted", None)
+        _LOCAL.adopted = self.parent
+        return self.parent
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _LOCAL.adopted = self._before
+
+
+def under(parent):
+    """Context manager: open this thread's spans under ``parent``.
+
+    ``parent`` is a live span of another thread, typically the
+    ``pipeline.job`` span of the thread that started this one.  Span
+    stacks are per thread, so without it a helper thread's first span
+    is a root, parented only on the process's boundary context.  No-op
+    when disabled (or when ``parent`` is the null span).
+    """
+    if not ENABLED or not isinstance(parent, Span):
+        return _NULL_SPAN
+    return _Adoption(parent)
 
 
 def current_span():

@@ -38,6 +38,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -54,7 +55,7 @@ from ..obs import trace as obs
 from . import faults
 from .cache import ResultCache
 from .spec import JobSpec
-from .stages import StageContext, get_stage, stage_cache_keys
+from .stages import Stage, StageContext, get_stage, stage_cache_keys
 
 __all__ = [
     "JobOutcome",
@@ -259,6 +260,72 @@ class BatchResult:
         )
 
 
+class _StageThread:
+    """One trace-only stage computed on a helper thread.
+
+    It runs only ``stage.func(ctx)`` inside its ``stage.<name>`` span,
+    hung under the job's span; every side effect of the stage (cache
+    lookups and puts, the fault hook, timings, metrics) stays with the
+    calling thread, at the stage's place in the chain.
+    """
+
+    def __init__(self, stage: Stage, ctx: StageContext, job_span) -> None:
+        self.stage = stage
+        self.unwaited = 0.0  # helper seconds the caller did not wait for
+        self._seconds = 0.0  # the stage function's wall on the helper
+        self._artifact = None
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(
+            target=self._run,
+            args=(ctx, job_span),
+            name=f"stage.{stage.name}",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def _run(self, ctx: StageContext, job_span) -> None:
+        t0 = time.perf_counter()
+        try:
+            with obs.under(job_span), obs.span(
+                f"stage.{self.stage.name}", benchmark=ctx.spec.benchmark
+            ):
+                self._artifact = self.stage.func(ctx)
+        except BaseException as exc:  # re-raised on the calling thread
+            self._error = exc
+        finally:
+            self._seconds = time.perf_counter() - t0
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        """The stage's artifact, once the helper is done (or its error)."""
+        t0 = time.perf_counter()
+        self._thread.join()
+        self.unwaited = self._seconds - (time.perf_counter() - t0)
+        if self._error is not None:
+            raise self._error
+        return self._artifact
+
+
+def _partner(
+    spec: JobSpec, index: int, stage: Stage, keys, cache
+) -> Stage | None:
+    """The stage to compute on a helper beside stage ``index``, if any.
+
+    Both must be trace-only, and the later one must miss the cache:
+    a stage that would be a hit starts no thread.
+    """
+    if not stage.trace_only or index + 1 >= len(spec.stages):
+        return None
+    later = get_stage(spec.stages[index + 1])
+    if not later.trace_only:
+        return None
+    if cache is not None and cache.has(keys[later.name], later.kind):
+        return None
+    return later
+
+
 def execute_job(
     spec: JobSpec, cache: ResultCache | None = None, attempt: int = 1
 ) -> JobOutcome:
@@ -269,38 +336,65 @@ def execute_job(
     telemetry matters most exactly when diagnosing the failure).
     ``attempt`` is threaded through so the fault-injection harness can
     fire on the Nth attempt and error messages carry the retry context.
+
+    Two consecutive trace-only stages that both miss the cache (today
+    ``voltage`` and ``characterize``) overlap: the later one's function
+    runs on a helper thread while the earlier one runs here, so the job
+    pays the longer of the two instead of their sum.  The side effects
+    keep their sequential order and thread, and the helper is joined
+    before the job returns.
     """
     outcome = JobOutcome(spec=spec, pid=os.getpid(), attempts=attempt)
     plan = faults.active_plan()
     snap_before = obs.registry().snapshot() if obs.ENABLED else None
     t_job = time.perf_counter()
+    cache_get_s = cache_put_s = 0.0
+    ahead: dict[str, _StageThread] = {}  # stage name -> its helper
     with obs.span(
         "pipeline.job", attempt=attempt, **spec.obs_attrs()
     ) as job_span:
         try:
             keys = stage_cache_keys(spec)
             ctx = StageContext(spec)
-            for name in spec.stages:
+            for index, name in enumerate(spec.stages):
                 stage = get_stage(name)
                 t0 = time.perf_counter()
                 hit = False
+                helper = ahead.get(name)
                 try:
                     artifact = None
                     if cache is not None:
+                        t_io = time.perf_counter()
                         hit, artifact = cache.get(name, keys[name], stage.kind)
+                        cache_get_s += time.perf_counter() - t_io
                     if not hit:
                         if plan is not None:
                             faults.apply_fault(
                                 plan, name, spec.benchmark, attempt
                             )
-                        with obs.span(
-                            f"stage.{name}", benchmark=spec.benchmark
-                        ):
-                            artifact = stage.func(ctx)
+                        if helper is not None:
+                            artifact = helper.result()
+                        else:
+                            with obs.span(
+                                f"stage.{name}", benchmark=spec.benchmark
+                            ):
+                                later = _partner(spec, index, stage, keys, cache)
+                                if later is not None:
+                                    # resolve (and attach) the trace once,
+                                    # here, before two threads read it
+                                    ctx.current_trace()
+                                    ahead[later.name] = _StageThread(
+                                        later, ctx, job_span
+                                    )
+                                artifact = stage.func(ctx)
                         if cache is not None:
+                            t_io = time.perf_counter()
                             cache.put(name, keys[name], stage.kind, artifact)
+                            cache_put_s += time.perf_counter() - t_io
                 finally:
                     stage_s = time.perf_counter() - t0
+                    if helper is not None:
+                        stage_s += helper.unwaited
                     outcome.timings[name] = stage_s
                     outcome.cache_hits[name] = hit
                     if obs.ENABLED:
@@ -329,6 +423,12 @@ def execute_job(
                 + traceback.format_exc()
             )
             outcome.error_kind = "exception"
+        finally:
+            # no helper outlives its job, whether the chain ended or raised
+            for helper in ahead.values():
+                helper.join()
+            job_span.set(overlapped=",".join(ahead))
+            job_span.measure(cache_get_s=cache_get_s, cache_put_s=cache_put_s)
     outcome.elapsed = time.perf_counter() - t_job
     outcome.peak_rss_bytes = int(job_span.rss_peak)
     if obs.ENABLED:

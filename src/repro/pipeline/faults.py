@@ -24,7 +24,8 @@ Actions fire *instead of* computing the stage (after the cache lookup
 misses), keyed on the executor-supplied job attempt number — so "raise
 twice then succeed" is simply ``:1-2`` with a retry budget of two, and
 the same plan reproduces the same failures on every run, in every
-process, with no shared state.
+process, with no shared state.  A stage the executor computed ahead on
+an overlap helper thread has its result discarded instead.
 
 Activation: the ``REPRO_FAULT_PLAN`` environment variable (which worker
 processes inherit) or ``repro pipeline run --inject-faults PLAN``, which

@@ -65,6 +65,11 @@ class Stage:
     namespace, so jobs whose trace identity matches chain to the same
     downstream cache entries regardless of which stage supplied the
     trace.
+
+    ``trace_only`` declares that the stage reads nothing but
+    ``ctx.current_trace()`` and the per-process ``_SHARED`` memo, never
+    another stage's artifact; the executor may then compute it on a
+    helper thread while the trace-only stage before it runs.
     """
 
     name: str
@@ -72,6 +77,7 @@ class Stage:
     fields: tuple[str, ...]  # spec fields hashed into this stage's key
     kind: str = "json"  # artifact serialization: "json" | "result"
     key_name: str | None = None
+    trace_only: bool = False
 
 
 _REGISTRY: dict[str, Stage] = {}
@@ -83,6 +89,7 @@ def register_stage(
     fields: tuple[str, ...],
     kind: str = "json",
     key_name: str | None = None,
+    trace_only: bool = False,
 ):
     """Decorator registering a stage function under ``name``."""
 
@@ -92,7 +99,12 @@ def register_stage(
         if kind not in ("json", "result"):
             raise SpecError(f"unknown artifact kind {kind!r}")
         _REGISTRY[name] = Stage(
-            name=name, func=func, fields=fields, kind=kind, key_name=key_name
+            name=name,
+            func=func,
+            fields=fields,
+            kind=kind,
+            key_name=key_name,
+            trace_only=trace_only,
         )
         return func
 
@@ -314,7 +326,7 @@ def _stage_load_trace(ctx: StageContext):
     }
 
 
-@register_stage("voltage", fields=("network", "threshold"))
+@register_stage("voltage", fields=("network", "threshold"), trace_only=True)
 def _stage_voltage(ctx: StageContext):
     """Convolution-simulated supply voltage: the §4 ground truth."""
     sim = ctx.voltage_engine
@@ -328,7 +340,9 @@ def _stage_voltage(ctx: StageContext):
     }
 
 
-@register_stage("characterize", fields=("network", "threshold", "window"))
+@register_stage(
+    "characterize", fields=("network", "threshold", "window"), trace_only=True
+)
 def _stage_characterize(ctx: StageContext):
     """The §4.1 wavelet-variance estimate, streamed block by block.
 

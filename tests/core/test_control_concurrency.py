@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 import repro.core.controller as control
@@ -23,7 +24,14 @@ from repro.core import (
     calibrated_supply,
     run_control_experiment,
 )
-from repro.pipeline import BatchOptions, build_control_jobs, control_results_from, submit
+from repro.pipeline import (
+    BatchOptions,
+    build_control_jobs,
+    build_store_jobs,
+    control_results_from,
+    submit,
+)
+from repro.store import TraceStore
 
 from .test_control_events import CYCLES, WARMUP, _cases
 
@@ -168,3 +176,38 @@ def test_pool_workers_run_the_baseline_inline():
     assert [dataclasses.asdict(r) for r in pooled] == [
         dataclasses.asdict(r) for r in serial
     ]
+
+
+def test_an_inline_store_batch_leaves_the_forked_path_open(tmp_path):
+    """A job's overlap helper is joined before the job returns, so a
+    later experiment in the same process still sees one live thread and
+    takes its forked path."""
+    if not control._can_fork():
+        pytest.skip("this process cannot take the forked path")
+    net = calibrated_supply(150)
+    store = TraceStore(tmp_path / "store", mode="a")
+    rng = np.random.default_rng(3)
+    for label in ("a", "b"):
+        store.ingest(40.0 + rng.normal(0.0, 4.0, 1 << 14), label)
+    batch = submit(
+        build_store_jobs(store, net),
+        BatchOptions(jobs=1, cache_dir=str(tmp_path / "cache")),
+    )
+    assert batch.ok
+    _, benchmark, net, factory = _cases()[0]
+    records = []
+    obs.enable("summary")
+    obs.add_subscriber(records.append)
+    try:
+        run_control_experiment(
+            benchmark, net, factory, cycles=CYCLES, warmup_cycles=WARMUP
+        )
+    finally:
+        obs.disable()
+    (span,) = [
+        r["attrs"]
+        for r in records
+        if r["type"] == "span" and r["name"] == "control.experiment"
+    ]
+    assert span["concurrent"] is True
+    assert not multiprocessing.active_children()
