@@ -87,6 +87,16 @@ def _trace_channel_bytes(artifacts: dict) -> int:
     return total
 
 
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far, every thread
+    counted (0 where the platform has no ``resource`` module)."""
+    try:
+        import resource
+    except ImportError:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How hard a batch tries to finish every job.
@@ -353,6 +363,7 @@ def execute_job(
     with obs.span(
         "pipeline.job", attempt=attempt, **spec.obs_attrs()
     ) as job_span:
+        faults_before = _minor_faults() if obs.ENABLED else None
         try:
             keys = stage_cache_keys(spec)
             ctx = StageContext(spec)
@@ -429,6 +440,8 @@ def execute_job(
                 helper.join()
             job_span.set(overlapped=",".join(ahead))
             job_span.measure(cache_get_s=cache_get_s, cache_put_s=cache_put_s)
+            if faults_before is not None:
+                job_span.measure(minor_faults=_minor_faults() - faults_before)
     outcome.elapsed = time.perf_counter() - t_job
     outcome.peak_rss_bytes = int(job_span.rss_peak)
     if obs.ENABLED:

@@ -8,7 +8,8 @@ Two equivalent engines:
   of Eq. 6 the paper uses to simulate voltage levels.  It keeps its
   kernel's spectrum for the last FFT size it used, so a trace costs two
   transforms (its own and the inverse), bit-identical to
-  :func:`fft_convolve`.
+  :func:`fft_convolve`.  Building one also keeps the heap those
+  transforms free mapped, process-wide (:func:`_keep_freed_heap`).
 * :class:`StreamingVoltageModel` — the same second-order system as a
   two-pole recursion advanced one cycle at a time, used inside the online
   control loop where the controller's stall/no-op decisions feed back into
@@ -20,6 +21,9 @@ same physics.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -60,6 +64,47 @@ def fft_convolve(x: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
     return out[(slice(None),) * (axis % out.ndim) + (slice(n),)]
 
 
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _libc():
+    """The loaded C library, or ``None`` where ``ctypes`` cannot open it."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep large freed buffers on this process's heap, once per process.
+
+    By default glibc serves every block above its mmap threshold with a
+    fresh ``mmap`` and hands freed heap above its trim threshold back to
+    the kernel.  A 1M-sample :meth:`ConvolutionVoltageSimulator.droop`
+    frees about 34 MB (the padded trace, both transform outputs and
+    pocketfft's scratch), so the next trace mapped and zeroed all of it
+    again: some 8 100 minor page faults per trace.  This sets the mmap
+    threshold to 32 MiB, glibc's own 64-bit ceiling for its dynamic
+    threshold, and the trim threshold to 64 MiB, above what one such
+    call frees.  The allocator does no arithmetic, so every result is
+    unchanged.  Where the C library has no ``mallopt`` (not glibc) this
+    does nothing, and a refused setting is ignored.
+
+    It is called by the engine's constructor only, never at import:
+    a process that builds no engine keeps glibc's defaults.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 class ConvolutionVoltageSimulator:
     """Offline whole-trace voltage computation (Eq. 6).
 
@@ -68,7 +113,10 @@ class ConvolutionVoltageSimulator:
     only the trace: the kernel's spectrum at the last FFT size used is
     kept (one entry, so an engine holds at most one spectrum), and a
     trace of ``n`` samples costs one forward and one inverse transform
-    of ``next_fast_len(n + taps - 1)`` points.
+    of ``next_fast_len(n + taps - 1)`` points.  The first engine of a
+    process sets its allocator to keep those transforms' freed buffers
+    (:func:`_keep_freed_heap`), so the next trace reuses them instead of
+    faulting them in again.
 
     Parameters
     ----------
@@ -83,6 +131,7 @@ class ConvolutionVoltageSimulator:
         self.taps = default_tap_count(network) if taps is None else taps
         self.kernel = impulse_response(network, self.taps)
         self._kept: tuple[int, np.ndarray] | None = None
+        _keep_freed_heap()
 
     def _kernel_spectrum(self, size: int) -> np.ndarray:
         """``rfft(kernel, size)``, computed once per change of ``size``."""
@@ -120,7 +169,9 @@ class ConvolutionVoltageSimulator:
 
     def voltage(self, current: np.ndarray) -> np.ndarray:
         """Per-cycle supply voltage ``vdd - droop``."""
-        return self.network.vdd - self.droop(current)
+        droop = self.droop(current)
+        # droop is this call's own buffer, so it takes the result
+        return np.subtract(self.network.vdd, droop, out=droop)
 
 
 class StreamingVoltageModel:

@@ -3,7 +3,8 @@
 ``characterize`` runs on a helper thread beside ``voltage``; its span and
 every span under it must still hang under its own job's ``pipeline.job``
 span, in the same trace, and the job span carries the seconds its stages
-spent in cache reads and writes plus the stages it overlapped.
+spent in cache reads and writes, the minor page faults the process took
+while it ran, and the stages it overlapped.
 """
 
 import sys
@@ -91,6 +92,15 @@ def test_job_span_carries_cache_io_and_overlap(records):
         measures = job["measures"]
         assert measures["cache_get_s"] >= 0.0
         assert measures["cache_put_s"] > 0.0  # three cold entries written
+
+
+def test_job_span_counts_minor_faults(records):
+    jobs = [r for r in records if r["name"] == "pipeline.job"]
+    assert len(jobs) == 2
+    for job in jobs:
+        faults = job["measures"]["minor_faults"]
+        assert type(faults) is int and faults >= 0
+        assert "minor_faults" not in job["attrs"]
 
 
 def test_both_threads_telemetry_is_whole(log_records, records):

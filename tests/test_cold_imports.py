@@ -192,6 +192,18 @@ def test_commands_without_characterization_load_no_scipy():
     assert loaded == {"control": [], "simulate": [], "breakdown": []}
 
 
+def test_importing_the_pipeline_keeps_the_default_allocator():
+    # the engine's heap policy is process-wide and also speeds any other
+    # large FFT, so importing alone must not apply it
+    calls = run_fresh(
+        "import json; import repro.cli, repro.pipeline; "
+        "from repro.power import simulate; "
+        "info = simulate._keep_freed_heap.cache_info(); "
+        "print(json.dumps(info.hits + info.misses))"
+    )
+    assert calls == 0
+
+
 def test_subpackages_load_on_first_use():
     loaded = run_fresh(LAZY_PACKAGE)
     assert loaded["import repro"] is False
