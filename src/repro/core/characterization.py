@@ -197,20 +197,34 @@ class WaveletVoltageEstimator:
         """
         return self.contribution_terms_from(self._window_stats(windows))
 
-    def characterize_windows(
-        self, windows: np.ndarray, threshold: float
+    def characterize_blocks(
+        self, blocks, threshold: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities and contribution terms from one shared stats pass.
+        """Probabilities and contribution terms for every window of ``blocks``.
 
         What the ``characterize`` pipeline stage wants: both outputs of
         the §4.1 analysis without decomposing every window twice.
-        Results are bit-identical to calling :meth:`window_probs_below`
-        and :meth:`window_contribution_terms` separately.
+        ``blocks`` is an iterable of ``(W, window)`` matrices (one
+        trace, streamed).  Each block gets one stats pass; the Gaussian
+        step then runs once over every window, so its per-call cost is
+        paid once per trace, not once per block.  Results are
+        bit-identical to :meth:`window_probs_below` and
+        :meth:`window_contribution_terms` on each block, concatenated.
+        Returns empty arrays when ``blocks`` is empty.
         """
-        stats = self._window_stats(windows)
-        mean_v, v_var = self.voltage_params_from(stats)
-        probs = get_kernel("gaussian_prob_below")(mean_v, v_var, threshold)
-        return probs, self.contribution_terms_from(stats)
+        means, variances, terms = [], [], []
+        for windows in blocks:
+            stats = self._window_stats(windows)
+            mean_v, v_var = self.voltage_params_from(stats)
+            means.append(mean_v)
+            variances.append(v_var)
+            terms.append(self.contribution_terms_from(stats))
+        if not terms:
+            return np.empty(0), np.empty((self.levels, 0))
+        probs = get_kernel("gaussian_prob_below")(
+            np.concatenate(means), np.concatenate(variances), threshold
+        )
+        return probs, np.concatenate(terms, axis=1)
 
     def level_contributions(self, current: np.ndarray) -> dict[int, float]:
         """Mean per-level voltage-variance contribution over a trace.

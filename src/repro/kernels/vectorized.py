@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..stats import normal_cdf
 from ..wavelets.filters import Wavelet, get_wavelet
 from ..wavelets.transform import max_level
 from ..wavelets.transform import wavedec as _wavedec_direct
@@ -140,8 +141,6 @@ def window_stats(windows, level: int) -> WindowStats:
 @register_kernel("gaussian_prob_below", "vectorized")
 def gaussian_prob_below(means, variances, threshold: float) -> np.ndarray:
     """Emergency fraction for every window at once (§4.1 step 5)."""
-    from scipy.special import erf
-
     m = np.asarray(means, dtype=float)
     v = np.asarray(variances, dtype=float)
     if m.shape != v.shape:
@@ -153,7 +152,7 @@ def gaussian_prob_below(means, variances, threshold: float) -> np.ndarray:
     probs[degenerate] = (threshold > m[degenerate]).astype(float)
     live = ~degenerate
     z = (threshold - m[live]) / np.sqrt(v[live])
-    probs[live] = 0.5 * (1.0 + erf(z / _SQRT2))
+    probs[live] = normal_cdf(z)
     return probs
 
 

@@ -23,9 +23,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-# Loaded here, before any pool forks, so that forked workers inherit them.
-import scipy.fft  # noqa: F401
-import scipy.special  # noqa: F401
 
 from ..core import (
     AnalogVoltageSensor,

@@ -187,25 +187,22 @@ def streaming_characterize(
     """Both §4.1 trace outputs from one streamed pass over the windows.
 
     Returns ``(estimate, windows_seen, level_contributions)``.  Each
-    block is decomposed once via ``estimator.characterize_windows``, so
+    block is decomposed once via ``estimator.characterize_blocks``, so
     the characterize pipeline stage pays for one wavelet pass instead of
-    two.  Per-window results are bit-identical to the separate
-    :func:`streaming_fraction_below` / :func:`streaming_level_contributions`
-    calls (and to the in-memory estimator methods).
+    two, and for one Gaussian-step call per trace.  Per-window results
+    are bit-identical to the separate :func:`streaming_fraction_below` /
+    :func:`streaming_level_contributions` calls (and to the in-memory
+    estimator methods).
     """
-    prob_blocks: list[np.ndarray] = []
-    term_blocks: list[np.ndarray] = []
-    for block in iter_window_blocks(source, estimator.window):
-        probs, terms = estimator.characterize_windows(block, threshold)
-        prob_blocks.append(probs)
-        term_blocks.append(terms)
-    if not prob_blocks:
+    flat, terms = estimator.characterize_blocks(
+        iter_window_blocks(source, estimator.window), threshold
+    )
+    count = len(flat)
+    if not count:
         raise SpecError(
             f"trace shorter than one {estimator.window}-cycle window"
         )
-    flat = np.concatenate(prob_blocks)
-    count = len(flat)
-    totals = np.concatenate(term_blocks, axis=1).sum(axis=1)
+    totals = terms.sum(axis=1)
     contributions = {
         lvl: float(totals[lvl - 1]) / count
         for lvl in range(1, estimator.levels + 1)

@@ -22,6 +22,7 @@ same physics.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 
@@ -40,16 +41,42 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _smooth_sizes(limit: int) -> tuple[int, ...]:
+    """Every 5-smooth integer ``2**a * 3**b * 5**c`` up to ``limit``, ascending."""
+    sizes = []
+    f5 = 1
+    while f5 <= limit:
+        f = f5
+        while f <= limit:
+            x = f
+            while x <= limit:
+                sizes.append(x)
+                x *= 2
+            f *= 3
+        f5 *= 5
+    return tuple(sorted(sizes))
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer ``>= n`` (``n >= 1``).
+
+    pocketfft's good size for a real transform, the value of
+    ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    sizes = _smooth_sizes(1 << (n - 1).bit_length())
+    return sizes[bisect.bisect_left(sizes, n)]
+
+
 def fft_convolve(x: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
     """Full linear convolution of real ``x`` and ``h`` along ``axis``.
 
     The same transforms, FFT size and products as
     ``scipy.signal.fftconvolve(x, h, axes=axis)`` for real input, so the
-    result is bit-identical to it, without importing ``scipy.signal``.
+    result is bit-identical to it, without importing SciPy: since NumPy
+    2.0, ``numpy.fft`` runs the same C++ pocketfft as ``scipy.fft``.
     ``h`` broadcasts against ``x`` on every other axis.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     if x.size == 0 or h.size == 0:
@@ -58,9 +85,9 @@ def fft_convolve(x: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
         # a length-1 operand is a plain product, as SciPy computes it
         return x * h
     n = x.shape[axis] + h.shape[axis] - 1
-    size = next_fast_len(n, real=True)
-    spectrum = rfft(x, size, axis=axis) * rfft(h, size, axis=axis)
-    out = irfft(spectrum, size, axis=axis)
+    size = next_fast_len(n)
+    spectrum = np.fft.rfft(x, size, axis=axis) * np.fft.rfft(h, size, axis=axis)
+    out = np.fft.irfft(spectrum, size, axis=axis)
     return out[(slice(None),) * (axis % out.ndim) + (slice(n),)]
 
 
@@ -135,18 +162,14 @@ class ConvolutionVoltageSimulator:
 
     def _kernel_spectrum(self, size: int) -> np.ndarray:
         """``rfft(kernel, size)``, computed once per change of ``size``."""
-        from scipy.fft import rfft
-
         kept = self._kept
         if kept is None or kept[0] != size:
-            kept = (size, rfft(np.asarray(self.kernel, dtype=float), size))
+            kept = (size, np.fft.rfft(np.asarray(self.kernel, dtype=float), size))
             self._kept = kept
         return kept[1]
 
     def droop(self, current: np.ndarray) -> np.ndarray:
         """Voltage droop ``(h * i)(t)`` for each cycle of ``current``."""
-        from scipy.fft import irfft, next_fast_len, rfft
-
         i = np.asarray(current)
         if i.ndim != 1:
             raise ValueError("current trace must be 1-D")
@@ -157,15 +180,15 @@ class ConvolutionVoltageSimulator:
             # a length-1 operand is a plain product, as fft_convolve
             # computes it
             return fft_convolve(i, self.kernel)[:n]
-        size = next_fast_len(n + self.taps - 1, real=True)
+        size = next_fast_len(n + self.taps - 1)
         # the one float64 copy of the trace, already zero-padded, so
-        # SciPy makes no padded copy of its own
+        # the transform makes no padded copy of its own
         padded = np.zeros(size)
         padded[:n] = i
-        spectrum = rfft(padded, overwrite_x=True)
+        spectrum = np.fft.rfft(padded)
         del padded  # freed before irfft allocates its output
         spectrum *= self._kernel_spectrum(size)
-        return irfft(spectrum, size)[:n]
+        return np.fft.irfft(spectrum, size)[:n]
 
     def voltage(self, current: np.ndarray) -> np.ndarray:
         """Per-cycle supply voltage ``vdd - droop``."""

@@ -8,7 +8,6 @@ their voltage artifacts are exactly those of a fresh engine per job.
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from repro import obs
 from repro.core import calibrated_supply
@@ -47,14 +46,14 @@ def _voltages(batch) -> list[dict]:
 def test_one_engine_serves_every_job(specs, no_engines, monkeypatch):
     taps = ConvolutionVoltageSimulator(specs[0].resolve_network()).taps
     kernel_transforms = []
-    rfft = scipy.fft.rfft
+    rfft = np.fft.rfft
 
     def counting(x, *args, **kwargs):
         if len(x) == taps:
             kernel_transforms.append(len(x))
         return rfft(x, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfft", counting)
+    monkeypatch.setattr(np.fft, "rfft", counting)
     obs.enable("summary")
     try:
         shared = _voltages(submit(specs, BatchOptions(jobs=1)))

@@ -10,6 +10,7 @@ from repro.pipeline import (
     streaming_fraction_below,
     streaming_level_contributions,
 )
+from repro.pipeline.windows import streaming_characterize
 
 
 def trace(n=4096, seed=3):
@@ -74,3 +75,15 @@ class TestStreamingAggregates:
     def test_short_trace_rejected(self, estimator):
         with pytest.raises(ValueError, match="shorter than one"):
             streaming_fraction_below(estimator, trace(100), 0.97)
+
+    def test_characterize_matches_both_aggregates_across_blocks(self, estimator):
+        # three full chunks and a partial one: four blocks of windows,
+        # whose Gaussian step runs as one kernel call
+        t = trace(3 * (1 << 16) + 1000)
+        estimate, count, levels = streaming_characterize(estimator, t, 0.97)
+        assert (estimate, count) == streaming_fraction_below(estimator, t, 0.97)
+        assert levels == streaming_level_contributions(estimator, t)
+
+    def test_characterize_rejects_a_short_trace(self, estimator):
+        with pytest.raises(ValueError, match="shorter than one"):
+            streaming_characterize(estimator, trace(100), 0.97)

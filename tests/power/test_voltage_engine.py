@@ -13,7 +13,7 @@ import scipy.fft
 
 from repro.core import calibrated_supply
 from repro.power import ConvolutionVoltageSimulator
-from repro.power.simulate import fft_convolve
+from repro.power.simulate import fft_convolve, next_fast_len
 
 PERCENTS = (100, 150, 200)
 DTYPES = (np.float32, np.float64, np.int64)
@@ -55,19 +55,17 @@ def test_alternating_sizes_never_reuse_a_stale_spectrum():
 def test_kernel_is_transformed_once_per_fft_size(monkeypatch):
     engine = ConvolutionVoltageSimulator(calibrated_supply(150))
     calls = []
-    rfft = scipy.fft.rfft
+    rfft = np.fft.rfft
 
     def counting(x, *args, **kwargs):
         calls.append(len(x))
         return rfft(x, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfft", counting)
+    monkeypatch.setattr(np.fft, "rfft", counting)
     for seed in range(3):
         engine.voltage(np.random.default_rng(seed).normal(40.0, 5.0, 8192))
     # three trace transforms and one kernel transform
-    assert sorted(calls) == [engine.taps] + [
-        scipy.fft.next_fast_len(8192 + engine.taps - 1, real=True)
-    ] * 3
+    assert sorted(calls) == [engine.taps] + [next_fast_len(8192 + engine.taps - 1)] * 3
 
 
 def test_input_is_not_modified():
@@ -82,3 +80,9 @@ def test_two_dimensional_input_raises():
     engine = ConvolutionVoltageSimulator(calibrated_supply(150))
     with pytest.raises(ValueError):
         engine.voltage(np.zeros((2, 2)))
+
+
+def test_next_fast_len_is_scipys_real_good_size():
+    sizes = [*range(1, 2**18 + 1), 1536, 4608, 12800, 33750, 1_049_760]
+    ours = [next_fast_len(n) for n in sizes]
+    assert ours == [scipy.fft.next_fast_len(n, real=True) for n in sizes]

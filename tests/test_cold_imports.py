@@ -1,15 +1,16 @@
 """Each cold path imports only what it uses.
 
-``scipy.signal``, ``scipy.stats`` and ``scipy.sparse`` cost over a
-second to import and no cold path needs them.  ``scipy.fft``,
-``scipy.special`` and ``repro.pipeline`` are needed only to
-characterize: ``import repro.cli``, calibration and the §5 closed loop
-load none of them, while ``import repro.pipeline`` loads both SciPy
-modules at once, so that pool workers forked later inherit them.
+No path that characterizes, simulates or controls loads any SciPy
+module: the voltage convolution runs on ``numpy.fft`` and the §4.1
+Gaussian step on a NumPy port of SciPy's ``erf``.  SciPy's import costs
+about a quarter of a second and ~19 MB, and under NumPy 2.4 it drags in
+``numpy.f2py`` and ``charset_normalizer``, so those are watched too.
+``repro.pipeline`` is needed only to characterize: ``import repro.cli``,
+calibration and the §5 closed loop do not load it.
 
-A fresh interpreter runs each step in process and reports which of
-these modules are in ``sys.modules`` after it.  The gate is
-deterministic: it counts modules, never seconds.
+A fresh interpreter runs each step in process and reports which watched
+modules are in ``sys.modules`` after it.  The gate is deterministic: it
+counts modules, never seconds.
 """
 
 import json
@@ -25,8 +26,11 @@ import repro
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.sparse")
-SCIPY = ("scipy.fft", "scipy.special")
-LAZY = (*SCIPY, "repro.pipeline")
+#: What importing SciPy drags in under NumPy 2.4.
+BAGGAGE = ("numpy.f2py", "charset_normalizer")
+LAZY = ("repro.pipeline",)
+#: Every SciPy module counts, plus these.
+WATCHED = (*BAGGAGE, *LAZY)
 
 PROGRAM = """
 import json
@@ -38,7 +42,11 @@ loaded = {{}}
 
 
 def check(step):
-    loaded[step] = [name for name in WATCHED if name in sys.modules]
+    loaded[step] = sorted(
+        name
+        for name in sys.modules
+        if name.split(".")[0] == "scipy" or name in WATCHED
+    )
 
 
 import repro.cli
@@ -100,7 +108,8 @@ STEPS = [
     "store job",
 ]
 
-#: The commands that neither characterize nor compute a voltage trace.
+#: The commands that neither characterize nor compute a voltage trace,
+#: then ``characterize``, which loads the pipeline but still no SciPy.
 COMMANDS = """
 import contextlib
 import io
@@ -109,18 +118,20 @@ import sys
 
 from repro.cli import main
 
-loaded = {}
+WATCHED = {watched!r}
+loaded = {{}}
 for argv in (
     ["control", "mgrid", "--cycles", "4096"],
     ["simulate", "gzip", "--cycles", "4096"],
     ["breakdown", "gzip", "--cycles", "4096"],
+    ["characterize", "gzip", "--cycles", "4096"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     loaded[argv[0]] = sorted(
         name
         for name in sys.modules
-        if name.split(".")[0] == "scipy" or name == "repro.pipeline"
+        if name.split(".")[0] == "scipy" or name in WATCHED
     )
 print(json.dumps(loaded))
 """
@@ -168,9 +179,15 @@ def run_fresh(program: str, *args: str) -> dict:
 def loaded(tmp_path_factory):
     """The watched modules present after each step of ``PROGRAM``."""
     root = tmp_path_factory.mktemp("cold")
-    loaded = run_fresh(PROGRAM.format(watched=HEAVY + LAZY), str(root))
+    loaded = run_fresh(PROGRAM.format(watched=WATCHED), str(root))
     assert list(loaded) == STEPS
     return loaded
+
+
+@pytest.fixture(scope="module")
+def commands():
+    """The watched modules present after each CLI command of ``COMMANDS``."""
+    return run_fresh(COMMANDS.format(watched=WATCHED))
 
 
 def test_cold_paths_leave_heavy_scipy_unimported(loaded):
@@ -178,18 +195,20 @@ def test_cold_paths_leave_heavy_scipy_unimported(loaded):
         assert not set(HEAVY) & set(names), (step, names)
 
 
-def test_only_the_pipeline_loads_fft_and_special(loaded):
-    for step in STEPS[:3]:
-        assert loaded[step] == [], step
-    # the pipeline loads both SciPy modules at import, before any pool
-    # forks, so its workers never import them inside a job
-    for step in STEPS[3:]:
-        assert set(SCIPY) <= set(loaded[step]), (step, loaded[step])
+def test_no_step_loads_scipy(loaded):
+    for step, names in loaded.items():
+        # the pipeline loads at its own step, and nothing else does
+        expected = [] if step in STEPS[:3] else list(LAZY)
+        assert names == expected, (step, names)
 
 
-def test_commands_without_characterization_load_no_scipy():
-    loaded = run_fresh(COMMANDS)
-    assert loaded == {"control": [], "simulate": [], "breakdown": []}
+def test_commands_without_characterization_load_no_scipy(commands):
+    for command in ("control", "simulate", "breakdown"):
+        assert commands[command] == [], command
+
+
+def test_characterize_command_loads_no_scipy(commands):
+    assert commands["characterize"] == list(LAZY)
 
 
 def test_importing_the_pipeline_keeps_the_default_allocator():
